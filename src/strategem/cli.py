@@ -7,7 +7,8 @@ print their result, one item per line for name sets, sorted.  The
 structured format prints one JSON document with the fields `command`,
 `input` and `result`.  Exit status: 0 on success, 1 when an analysis or
 guard fails (for example no focus), 2 on a syntax error, which is
-reported with line and column on stderr.
+reported with line and column on stderr, and 2 on a file that cannot be
+read or is not ASCII text.
 """
 
 from __future__ import annotations
@@ -104,6 +105,11 @@ def main(argv=None) -> int:
             source = handle.read()
     except OSError as exc:
         print(f"{args.file}: {exc.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        # The whole file is decoded in one call, so the offset is the file's.
+        byte, offset = exc.object[exc.start], exc.start
+        print(f"{args.file}: not ASCII text (byte 0x{byte:02x} at offset {offset})", file=sys.stderr)
         return 2
     try:
         module = parse(source)

@@ -208,19 +208,24 @@ def all_tp(s: TP) -> TP:
     """Apply a transformation to every immediate subterm.
 
     The outermost constructor is kept; failure on any child is failure of
-    the whole.  Terms without children are returned unchanged.
+    the whole.  When every child comes back as the very same term object,
+    the input term itself is the result, so unchanged subterms are shared
+    rather than copied.
     """
     ctx = s.context
 
     def run(t):
         kids = children(t)
 
-        def go(i, acc):
+        def go(i, acc, changed):
             if i == len(kids):
-                return ctx.pure(rebuild(t, acc))
-            return ctx.bind(s.run(kids[i]), lambda new, i=i: go(i + 1, acc + (new,)))
+                return ctx.pure(rebuild(t, acc) if changed else t)
+            return ctx.bind(
+                s.run(kids[i]),
+                lambda new, i=i: go(i + 1, acc + (new,), changed or new is not kids[i]),
+            )
 
-        return go(0, ())
+        return go(0, (), False)
 
     return TP(ctx, run)
 

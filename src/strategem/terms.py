@@ -26,6 +26,15 @@ constructor field types straight from dataclass annotations.  A textual
 descriptor format (one `TypeName.ConName : FieldType*` line per
 constructor) is supported through `descriptor_lines` and
 `register_descriptors` for the same purpose.
+
+Cost model for lists: `children` of a cons cell is O(1).  The tail it
+returns is a view of the original sequence from an offset, and `rebuild`
+of a cons cell returns a term holding its head and tail terms.  Neither
+copies anything; their Python `list` or `tuple` is assembled, once and in
+a single pass, when `.value` is first read, with the sequence type of the
+list it came from.  So a traversal of a list is linear, but any step that
+reads `.value` of a list term (an `adhoc` step on a list datatype, `cast`)
+pays O(length) for each cons cell it runs on.
 """
 
 from __future__ import annotations
@@ -159,18 +168,15 @@ class _AtomEntry:
         self.tag = tag
         self.pytype = pytype
 
-    def check(self, value):
+    def check(self, t):
         # Exact type: bool is a subclass of int but has its own tag.
-        return type(value) is self.pytype
+        return type(t.value) is self.pytype
 
-    def constructor_of(self, value):
-        return ConstructorTag(repr(value), self.tag, ())
+    def constructor_of(self, t):
+        return ConstructorTag(repr(t.value), self.tag, ())
 
-    def children(self, value):
+    def children(self, t):
         return ()
-
-    def rebuild(self, value, con, kid_values):
-        return value
 
 
 class _NodeEntry:
@@ -182,21 +188,67 @@ class _NodeEntry:
         self.by_class = {cls: (con, names) for cls, con, names in constructors}
         self.by_con = {con: (cls, names) for cls, con, names in constructors}
 
-    def check(self, value):
-        return type(value) in self.by_class
+    def check(self, t):
+        return type(t.value) in self.by_class
 
-    def constructor_of(self, value):
-        return self.by_class[type(value)][0]
+    def constructor_of(self, t):
+        return self.by_class[type(t.value)][0]
 
-    def children(self, value):
+    def children(self, t):
+        value = t.value
         con, names = self.by_class[type(value)]
         return tuple(
             Term(getattr(value, name), ftag) for name, ftag in zip(names, con.field_tags)
         )
 
-    def rebuild(self, value, con, kid_values):
+    def rebuild(self, t, con, kids):
         cls, _ = self.by_con[con]
-        return cls(*kid_values)
+        return Term(cls(*[kid.value for kid in kids]), t.tag)
+
+
+class _Tail(Term):
+    """A list term viewing `seq` from `offset` on; its value is sliced on first read."""
+
+    __slots__ = ("seq", "offset")
+
+    def __init__(self, seq, offset, tag):
+        self.seq = seq
+        self.offset = offset
+        self.tag = tag
+
+    def __getattr__(self, name):
+        # Only reached while the `value` slot is still unset.
+        if name != "value":
+            raise AttributeError(name)
+        self.value = self.seq[self.offset :]
+        return self.value
+
+
+class _Cons(Term):
+    """A rebuilt cons cell holding its head and tail terms.
+
+    Its value is assembled on first read, in one pass down the chain of
+    rebuilt cells, with the sequence type of the list the chain ends in.
+    """
+
+    __slots__ = ("head", "tail")
+
+    def __init__(self, head, tail, tag):
+        self.head = head
+        self.tail = tail
+        self.tag = tag
+
+    def __getattr__(self, name):
+        if name != "value":
+            raise AttributeError(name)
+        items, t = [], self
+        while type(t) is _Cons:
+            items.append(t.head.value)
+            t = t.tail
+        rest = t.value
+        items.extend(rest)
+        self.value = tuple(items) if isinstance(rest, tuple) else items
+        return self.value
 
 
 class _ListEntry:
@@ -208,22 +260,26 @@ class _ListEntry:
         self.nil = ConstructorTag("Nil", tag, ())
         self.cons = ConstructorTag("Cons", tag, (elem, tag))
 
-    def check(self, value):
-        return isinstance(value, (list, tuple))
+    def check(self, t):
+        # A lazy form is a list by construction: it came from one.
+        return isinstance(t, (_Tail, _Cons)) or isinstance(t.value, (list, tuple))
 
-    def constructor_of(self, value):
-        return self.cons if len(value) else self.nil
+    def constructor_of(self, t):
+        if type(t) is _Cons:
+            return self.cons
+        seq, i = (t.seq, t.offset) if type(t) is _Tail else (t.value, 0)
+        return self.cons if i < len(seq) else self.nil
 
-    def children(self, value):
-        if not len(value):
+    def children(self, t):
+        if type(t) is _Cons:
+            return (t.head, t.tail)
+        seq, i = (t.seq, t.offset) if type(t) is _Tail else (t.value, 0)
+        if i == len(seq):
             return ()
-        return (Term(value[0], self.elem), Term(value[1:], self.tag))
+        return (Term(seq[i], self.elem), _Tail(seq, i + 1, self.tag))
 
-    def rebuild(self, value, con, kid_values):
-        head, tail = kid_values
-        if isinstance(tail, tuple):
-            return (head,) + tail
-        return [head] + tail
+    def rebuild(self, t, con, kids):
+        return _Cons(kids[0], kids[1], self.tag)
 
 
 class _PairEntry:
@@ -235,17 +291,18 @@ class _PairEntry:
         self.second = second
         self.pair = ConstructorTag("Pair", tag, (first, second))
 
-    def check(self, value):
-        return type(value) is tuple and len(value) == 2
+    def check(self, t):
+        return type(t.value) is tuple and len(t.value) == 2
 
-    def constructor_of(self, value):
+    def constructor_of(self, t):
         return self.pair
 
-    def children(self, value):
+    def children(self, t):
+        value = t.value
         return (Term(value[0], self.first), Term(value[1], self.second))
 
-    def rebuild(self, value, con, kid_values):
-        return (kid_values[0], kid_values[1])
+    def rebuild(self, t, con, kids):
+        return Term((kids[0].value, kids[1].value), self.tag)
 
 
 class _OptionalEntry:
@@ -257,21 +314,21 @@ class _OptionalEntry:
         self.none = ConstructorTag("None", tag, ())
         self.some = ConstructorTag("Some", tag, (elem,))
 
-    def check(self, value):
-        if value is None:
+    def check(self, t):
+        if t.value is None:
             return True
-        return _entry(self.elem).check(value)
+        return _entry(self.elem).check(Term(t.value, self.elem))
 
-    def constructor_of(self, value):
-        return self.none if value is None else self.some
+    def constructor_of(self, t):
+        return self.none if t.value is None else self.some
 
-    def children(self, value):
-        if value is None:
+    def children(self, t):
+        if t.value is None:
             return ()
-        return (Term(value, self.elem),)
+        return (Term(t.value, self.elem),)
 
-    def rebuild(self, value, con, kid_values):
-        return kid_values[0]
+    def rebuild(self, t, con, kids):
+        return Term(kids[0].value, self.tag)
 
 
 def _atom(name, pytype):
@@ -332,9 +389,10 @@ def term(value, tag: TypeTag | None = None) -> Term:
             raise UnregisteredType(
                 f"cannot infer a datatype for {value!r}; pass the tag explicitly"
             )
-    if not _entry(tag).check(value):
+    t = Term(value, tag)
+    if not _entry(tag).check(t):
         raise TypeError(f"{value!r} is not a value of datatype {tag.name}")
-    return Term(value, tag)
+    return t
 
 
 def type_of(t: Term) -> TypeTag:
@@ -342,12 +400,12 @@ def type_of(t: Term) -> TypeTag:
 
 
 def constructor(t: Term) -> ConstructorTag:
-    return _entry(t.tag).constructor_of(t.value)
+    return _entry(t.tag).constructor_of(t)
 
 
 def children(t: Term) -> tuple:
-    """The immediate subterms of a term, left to right."""
-    return _entry(t.tag).children(t.value)
+    """The immediate subterms of a term, left to right; O(1) on a list."""
+    return _entry(t.tag).children(t)
 
 
 def rebuild(t: Term, kids: Sequence[Term]) -> Term:
@@ -369,8 +427,7 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
             )
     if con.arity == 0:
         return t
-    new_value = _entry(t.tag).rebuild(t.value, con, [kid.value for kid in kids])
-    return Term(new_value, t.tag)
+    return _entry(t.tag).rebuild(t, con, kids)
 
 
 def cast(t: Term, target: TypeTag):
@@ -382,22 +439,30 @@ def cast(t: Term, target: TypeTag):
 
 def same_term(a: Term, b: Term) -> bool:
     """Structural equality: equal tags, constructors and children."""
-    if a.tag is not b.tag:
-        return False
-    entry = _entry(a.tag)
-    if entry.kind == "atom":
-        return type(a.value) is type(b.value) and a.value == b.value
-    if entry.constructor_of(a.value) != entry.constructor_of(b.value):
-        return False
-    return all(same_term(x, y) for x, y in zip(entry.children(a.value), entry.children(b.value)))
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if a.tag is not b.tag:
+            return False
+        entry = _entry(a.tag)
+        if entry.kind == "atom":
+            if type(a.value) is not type(b.value) or a.value != b.value:
+                return False
+            continue
+        if entry.constructor_of(a) != entry.constructor_of(b):
+            return False
+        pending.extend(zip(reversed(entry.children(a)), reversed(entry.children(b))))
+    return True
 
 
 def validate_term(t: Term) -> None:
     """Walk a term and check every level against its datatype."""
-    if not _entry(t.tag).check(t.value):
-        raise TypeError(f"{t.value!r} is not a value of datatype {t.tag.name}")
-    for kid in children(t):
-        validate_term(kid)
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        if not _entry(t.tag).check(t):
+            raise TypeError(f"{t.value!r} is not a value of datatype {t.tag.name}")
+        pending.extend(reversed(children(t)))
 
 
 class Registry:

@@ -122,6 +122,17 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert str(path) in err
 
 
+@pytest.mark.parametrize("lines", [1, 1000])
+def test_non_ascii_input_exits_two_with_the_byte_offset(tmp_path, capsys, lines):
+    # 1,000 lines put the byte past the first 8 KiB of the file.
+    head = b"module M where\n" + b"x = 1\n" * lines
+    path = tmp_path / "latin1.ml0"
+    path.write_bytes(head + b"y = \xc3\xa9\n")
+    code, out, err = run(capsys, "count-decls", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}: not ASCII text (byte 0xc3 at offset {len(head) + 4})\n"
+
+
 # Formats.
 
 

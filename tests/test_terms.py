@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from strategem.effects import NOTHING, Just
+from strategem.effects import IDENTITY, INT_SUM, NOTHING, PARTIAL, Just
+from strategem.strategies import adhoc_tp, adhoc_tu, apply, build_tu, fail_tp, identity_tp
 from strategem.terms import (
     BOOL,
     INT,
@@ -35,6 +36,7 @@ from strategem.terms import (
     type_of,
     validate_term,
 )
+from strategem.themes import bottomup, crush, once_td, topdown
 
 # A toy datatype family used throughout this module.
 
@@ -149,6 +151,95 @@ def test_optional_decomposition():
     assert constructor(some).name == "Some" and children(some) == (term(5),)
     assert constructor(none).name == "None" and children(none) == ()
     assert rebuild(some, (term(6),)).value == 6
+
+
+def test_long_lists_compare_and_validate_at_the_default_limit():
+    n = 10**5
+    as_list = term(list(range(n)), list_of(INT))
+    assert as_list == term(tuple(range(n)), list_of(INT))
+    assert as_list != term(list(range(n - 1)) + [0], list_of(INT))
+    validate_term(as_list)
+    with pytest.raises(TypeError):
+        validate_term(Term(list(range(n)) + ["x"], list_of(INT)))
+
+
+# The lazy list view, against plain-Python maps and folds.
+
+PAIRS = list_of(pair_of(BOOL, INT))
+NESTED = list_of(list_of(INT))
+
+
+def sequences(elements):
+    return st.lists(elements, max_size=12).flatmap(lambda xs: st.sampled_from([xs, tuple(xs)]))
+
+
+def list_terms():
+    ints = st.integers(-99, 99)
+    return st.one_of(
+        sequences(st.tuples(st.booleans(), ints)).map(lambda v: term(v, PAIRS)),
+        sequences(sequences(ints)).map(lambda v: term(v, NESTED)),
+    )
+
+
+def py_bump(v):
+    """Add one to every int, keeping bools and every sequence type."""
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, int):
+        return v + 1
+    return type(v)(py_bump(x) for x in v)
+
+
+def py_ints(v):
+    if isinstance(v, bool):
+        return []
+    if isinstance(v, int):
+        return [v]
+    return [n for x in v for n in py_ints(x)]
+
+
+def py_bump_first(v):
+    """Add one to the first int in preorder; also say whether one was found."""
+    if isinstance(v, bool):
+        return v, False
+    if isinstance(v, int):
+        return v + 1, True
+    out = list(v)
+    for i, x in enumerate(v):
+        out[i], done = py_bump_first(x)
+        if done:
+            return type(v)(out), True
+    return v, False
+
+
+INC = adhoc_tp(identity_tp(IDENTITY), INT, lambda n: n + 1)
+INC_FIRST = adhoc_tp(fail_tp(PARTIAL), INT, lambda n: PARTIAL.pure(n + 1))
+SUM = crush(adhoc_tu(build_tu(IDENTITY, 0), INT, lambda n: n), INT_SUM)
+
+
+@given(list_terms())
+def test_lazy_lists_match_plain_python(t):
+    v, want = t.value, py_bump(t.value)
+    # `==` on a list and a tuple is false, so this also checks sequence types.
+    assert apply(topdown(INC), t).value == want
+    assert apply(bottomup(INC), t).value == want
+    assert apply(SUM, t) == sum(py_ints(v))
+    found = apply(once_td(INC_FIRST), t)
+    first, done = py_bump_first(v)
+    assert (found.value.value == first) if done else found is NOTHING
+    assert apply(topdown(identity_tp(IDENTITY)), t) is t
+
+
+@given(list_terms())
+def test_walking_a_list_gives_its_slices(t):
+    v, i = t.value, 0
+    while kids := children(t):
+        head, t = kids
+        assert head.value == v[i]
+        i += 1
+        assert constructor(t).name == ("Cons" if i < len(v) else "Nil")
+        assert t.value == v[i:]
+    assert i == len(v)
 
 
 # Nodes and the fundamental laws.
