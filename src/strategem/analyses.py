@@ -30,8 +30,6 @@ from .effects import (
     SET_UNION,
     STATE,
     is_just,
-    run_identity,
-    run_partial,
 )
 from .minilang import (
     DECL,
@@ -110,7 +108,7 @@ class GuardFailed(Exception):
 def inc_ints(t: Term) -> Term:
     """Add one to every integer atom, leaving everything else alone."""
     step = adhoc_tp(identity_tp(IDENTITY), INT, lambda n: IDENTITY.pure(n + 1))
-    return run_identity(apply(topdown(step), t))
+    return apply(topdown(step), t)
 
 
 def _decl_type_names(d):
@@ -136,7 +134,7 @@ any_types: TU = adhoc_tu(
 
 def all_types(module: Module) -> NameSet:
     """Every type name declared or used anywhere in the module."""
-    return run_identity(apply(crush(any_types, SET_UNION), to_term(module)))
+    return apply(crush(any_types, SET_UNION), to_term(module))
 
 
 def is_fresh_type(name: str, module: Module) -> bool:
@@ -193,7 +191,7 @@ def free_vars(t: Term) -> NameSet:
         MODULE,
         _module_decs,
     )
-    return run_identity(apply(free_names(refs, decs), t))
+    return apply(free_names(refs, decs), t)
 
 
 def _focused_type(ty):
@@ -211,7 +209,7 @@ def _focused_expr(e):
 def select_type_focus(module: Module):
     """The type inside the module's type focus."""
     step = adhoc_tu(fail_tu(PARTIAL), TYPE, _focused_type)
-    got = run_partial(apply(select(step), to_term(module)))
+    got = apply(select(step), to_term(module))
     if not is_just(got):
         raise NoFocus("module has no type focus")
     return got.value
@@ -220,7 +218,7 @@ def select_type_focus(module: Module):
 def select_focus(module: Module):
     """The expression inside the module's expression focus."""
     step = adhoc_tu(fail_tu(PARTIAL), EXPR, _focused_expr)
-    got = run_partial(apply(select(step), to_term(module)))
+    got = apply(select(step), to_term(module))
     if not is_just(got):
         raise NoFocus("module has no expression focus")
     return got.value
@@ -240,7 +238,7 @@ def to_alias(name: str, module: Module) -> Module:
         return PARTIAL.zero()
 
     lookup = select(adhoc_tu(fail_tu(PARTIAL), DECL, alias_rhs))
-    rhs = run_partial(apply(lookup, to_term(module)))
+    rhs = apply(lookup, to_term(module))
     if not is_just(rhs):
         raise NoSuchAlias(f"no type synonym named {name}")
     if focused != rhs.value:
@@ -252,7 +250,7 @@ def to_alias(name: str, module: Module) -> Module:
         return PARTIAL.zero()
 
     replace = once_td(adhoc_tp(fail_tp(PARTIAL), TYPE, fold))
-    rewritten = run_partial(apply(replace, to_term(module)))
+    rewritten = apply(replace, to_term(module))
     return cast(rewritten.value, MODULE).value
 
 
@@ -276,7 +274,7 @@ def de_bruijn_strategy() -> TP:
 
 def de_bruijn(t: Term) -> Term:
     """Replace every string atom, in preorder, with "1", "1'", "1''", ..."""
-    return run_identity(apply(de_bruijn_strategy(), t))
+    return apply(de_bruijn_strategy(), t)
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def no_codes() -> Coder:
 
 def get_code(coder: Coder, t: Term):
     """Just the code of a term, or NOTHING if none was assigned."""
-    return run_partial(apply(coder.lookup, t))
+    return apply(coder.lookup, t)
 
 
 def next_code(coder: Coder):
@@ -353,4 +351,4 @@ def type_token(tag: TypeTag) -> TypeToken:
 def count_of_type(token: TypeToken, t: Term) -> int:
     """How many subterms of t, including t, have the token's datatype."""
     tick = adhoc_tu(build_tu(IDENTITY, 0), token.tag, lambda _v: IDENTITY.pure(1))
-    return run_identity(apply(crush(tick, INT_SUM), t))
+    return apply(crush(tick, INT_SUM), t)

@@ -37,24 +37,25 @@ from .terms import cast
 __all__ = ["main", "entry"]
 
 
-def _run_command(args, module):
-    if args.command == "inc-ints":
-        return pretty(cast(inc_ints(to_term(module)), MODULE).value)
-    if args.command == "collect-types":
-        return sorted(all_types(module))
-    if args.command == "fresh-type":
-        return is_fresh_type(args.name, module)
-    if args.command == "free-vars":
-        return sorted(free_vars(to_term(module)))
-    if args.command == "count-decls":
-        return count_of_type(type_token(DECL), to_term(module))
-    if args.command == "debruijn":
-        return pretty(cast(de_bruijn(to_term(module)), MODULE).value)
-    if args.command == "to-alias":
-        return pretty(to_alias(args.name, module))
-    if args.command == "select-focus":
-        return pretty_expr(select_focus(module))
-    raise AssertionError(args.command)
+# command -> (help, takes --name, action on the parsed arguments and the module)
+_COMMANDS = {
+    "inc-ints": ("add one to every integer literal", False,
+                 lambda args, m: pretty(cast(inc_ints(to_term(m)), MODULE).value)),
+    "collect-types": ("list every declared or used type name", False,
+                      lambda args, m: sorted(all_types(m))),
+    "fresh-type": ("check that a type name is unused", True,
+                   lambda args, m: is_fresh_type(args.name, m)),
+    "free-vars": ("list the free variables of the module", False,
+                  lambda args, m: sorted(free_vars(to_term(m)))),
+    "count-decls": ("count the declarations", False,
+                    lambda args, m: count_of_type(type_token(DECL), to_term(m))),
+    "debruijn": ("replace every string atom with a fresh name", False,
+                 lambda args, m: pretty(cast(de_bruijn(to_term(m)), MODULE).value)),
+    "to-alias": ("fold the focused type into a synonym", True,
+                 lambda args, m: pretty(to_alias(args.name, m))),
+    "select-focus": ("print the focused expression", False,
+                     lambda args, m: pretty_expr(select_focus(m))),
+}
 
 
 def _print_text(result):
@@ -76,20 +77,9 @@ def _build_parser():
         prog="strategem", description="analyses and transformations for .ml0 modules"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = {"fresh-type", "to-alias"}
-    helps = {
-        "inc-ints": "add one to every integer literal",
-        "collect-types": "list every declared or used type name",
-        "fresh-type": "check that a type name is unused",
-        "free-vars": "list the free variables of the module",
-        "count-decls": "count the declarations",
-        "debruijn": "replace every string atom with a fresh name",
-        "to-alias": "fold the focused type into a synonym",
-        "select-focus": "print the focused expression",
-    }
-    for command, text in helps.items():
+    for command, (text, named, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        if command in named:
+        if named:
             p.add_argument("--name", required=True, help="type name to use")
         p.add_argument(
             "--format", choices=("text", "structured"), default="text", help="output format"
@@ -113,7 +103,7 @@ def main(argv=None) -> int:
         return 2
     try:
         module = parse(source)
-        result = _run_command(args, module)
+        result = _COMMANDS[args.command][2](args, module)
     except ParseError as exc:
         print(f"{args.file}:{exc.line}:{exc.col}: {exc.message}", file=sys.stderr)
         return 2

@@ -15,8 +15,9 @@ on top of any inner context.
 
 Computations are ordinary values: the value itself for IDENTITY, a Just or
 NOTHING for PARTIAL, and a function from state to an inner computation of a
-(value, state) pair for StateOver.  `run_identity`, `run_partial` and
-`run_state` are the corresponding eliminators.
+(value, state) pair for StateOver.  An IDENTITY or PARTIAL computation is
+its own result; `run_state` runs a StateOver computation from an initial
+state.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ __all__ = [
     "PARTIAL_STATE",
     "supports_failure",
     "supports_state",
-    "run_identity",
-    "run_partial",
     "run_state",
     "Monoid",
     "LIST_CONCAT",
@@ -223,16 +222,6 @@ def supports_failure(ctx: EffectContext) -> bool:
 
 def supports_state(ctx: EffectContext) -> bool:
     return isinstance(ctx, StateOver)
-
-
-def run_identity(comp):
-    """Eliminate an IDENTITY computation."""
-    return comp
-
-
-def run_partial(comp):
-    """Eliminate a PARTIAL computation to Just(v) or NOTHING."""
-    return comp
 
 
 def run_state(comp, initial):

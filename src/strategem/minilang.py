@@ -272,9 +272,9 @@ def _tokenize(source: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tok("INT", source[i:j])
             col += j - i

@@ -21,15 +21,21 @@ The basic vocabulary:
   one_tp, one_tu            push one layer down: first subterm that works
   msubst_tp, msubst_tu      move a strategy along an effect morphism
 
-`all_tp` rebuilds the outermost constructor around the rewritten children;
-`all_tu` folds child results left to right with an explicit monoid.  `one`
-fails on terms without children.  Strategies are opaque values: treat
-`apply` as the only way to use one.
+`all` and `one` are each one primitive read at both kinds.  `all` is a
+one-layer fold over the immediate subterms: `all_tp` starts from no
+children, collects the new ones and rebuilds the outermost constructor
+only if a child changed; `all_tu` starts from the monoid's neutral element
+and appends child results left to right.  `one` is a one-layer search that
+commits to the leftmost child the strategy succeeds on: `one_tp` rebuilds
+around the new child, `one_tu` returns its result.  `one` fails on terms
+without children.  Strategies are opaque values: treat `apply` as the only
+way to use one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from typing import Any, Callable
 
 from .effects import EffectContext, EffectMorphism, Monoid, supports_failure
@@ -90,6 +96,17 @@ def apply(s: Strategy, t: Term):
     return s.run(t)
 
 
+def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
+    # Tie the knot for a scheme: hand `define` a self-reference, of the kind
+    # and context of `s`, before the body it refers to exists.
+    def run(t):
+        return body.run(t)
+
+    rec = type(s)(s.context, run)
+    body = define(rec)
+    return rec
+
+
 def _same_context(*strategies) -> EffectContext:
     ctx = strategies[0].context
     for s in strategies[1:]:
@@ -106,7 +123,7 @@ def _partial_context(ctx: EffectContext) -> EffectContext:
 
 def identity_tp(ctx: EffectContext) -> TP:
     """Succeed on every term, returning it unchanged."""
-    return TP(ctx, lambda t: ctx.pure(t))
+    return TP(ctx, ctx.pure)
 
 
 def build_tu(ctx: EffectContext, value) -> TU:
@@ -126,6 +143,15 @@ def fail_tu(ctx: EffectContext) -> TU:
     return TU(ctx, lambda t: ctx.zero())
 
 
+def _adhoc(kind, default, tag, hit):
+    def run(t):
+        if t.tag is tag:
+            return hit(t.value)
+        return default.run(t)
+
+    return kind(default.context, run)
+
+
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
     """Customize a strategy at one datatype.
 
@@ -135,13 +161,7 @@ def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
     fine: the most recently added customization is consulted first.
     """
     ctx = default.context
-
-    def run(t):
-        if t.tag is tag:
-            return ctx.bind(step(t.value), lambda v: ctx.pure(term(v, tag)))
-        return default.run(t)
-
-    return TP(ctx, run)
+    return _adhoc(TP, default, tag, lambda v: ctx.bind(step(v), lambda w: ctx.pure(term(w, tag))))
 
 
 def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
@@ -150,14 +170,7 @@ def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
     `step` receives the bare value and returns a computation of the
     result type.
     """
-    ctx = default.context
-
-    def run(t):
-        if t.tag is tag:
-            return step(t.value)
-        return default.run(t)
-
-    return TU(ctx, run)
+    return _adhoc(TU, default, tag, step)
 
 
 def seq_tp(first: TP, second: TP) -> TP:
@@ -172,24 +185,19 @@ def seq_tu(first: TP, second: TU) -> TU:
     return TU(ctx, lambda t: ctx.bind(first.run(t), second.run))
 
 
+def _let(kind, analysis, body):
+    ctx = analysis.context
+    return kind(ctx, lambda t: ctx.bind(analysis.run(t), lambda v: body(v).run(t)))
+
+
 def let_tp(analysis: TU, body: Callable[[Any], TP]) -> TP:
     """Run an analysis, then a transformation chosen from its result."""
-    ctx = analysis.context
-
-    def run(t):
-        return ctx.bind(analysis.run(t), lambda v: body(v).run(t))
-
-    return TP(ctx, run)
+    return _let(TP, analysis, body)
 
 
 def let_tu(analysis: TU, body: Callable[[Any], TU]) -> TU:
     """Run an analysis, then an analysis chosen from its result."""
-    ctx = analysis.context
-
-    def run(t):
-        return ctx.bind(analysis.run(t), lambda v: body(v).run(t))
-
-    return TU(ctx, run)
+    return _let(TU, analysis, body)
 
 
 def choice_tp(first: TP, second: TP) -> TP:
@@ -204,6 +212,44 @@ def choice_tu(first: TU, second: TU) -> TU:
     return TU(ctx, lambda t: ctx.plus_lazy(lambda: first.run(t), lambda: second.run(t)))
 
 
+def _fold(s, start, append, finish):
+    # The one-layer fold: run `s` on each immediate subterm, left to right,
+    # appending each result to the accumulator; `finish(t, kids, acc)` gives
+    # the value of the whole.
+    ctx = s.context
+
+    def run(t):
+        kids = children(t)
+
+        def go(i, acc):
+            if i == len(kids):
+                return ctx.pure(finish(t, kids, acc))
+            return ctx.bind(s.run(kids[i]), lambda r: go(i + 1, append(acc, r)))
+
+        return go(0, start)
+
+    return run
+
+
+def _search(s, found):
+    # The one-layer search: try `s` on each immediate subterm, left to right,
+    # committing to the first success; `found(t, kids, i, comp)` turns the
+    # computation at child i into the value of the whole.
+    ctx = _partial_context(s.context)
+
+    def run(t):
+        kids = children(t)
+
+        def go(i):
+            if i == len(kids):
+                return ctx.zero()
+            return ctx.plus_lazy(lambda: found(t, kids, i, s.run(kids[i])), lambda: go(i + 1))
+
+        return go(0)
+
+    return run
+
+
 def all_tp(s: TP) -> TP:
     """Apply a transformation to every immediate subterm.
 
@@ -212,22 +258,15 @@ def all_tp(s: TP) -> TP:
     the input term itself is the result, so unchanged subterms are shared
     rather than copied.
     """
-    ctx = s.context
-
-    def run(t):
-        kids = children(t)
-
-        def go(i, acc, changed):
-            if i == len(kids):
-                return ctx.pure(rebuild(t, acc) if changed else t)
-            return ctx.bind(
-                s.run(kids[i]),
-                lambda new, i=i: go(i + 1, acc + (new,), changed or new is not kids[i]),
-            )
-
-        return go(0, (), False)
-
-    return TP(ctx, run)
+    return TP(
+        s.context,
+        _fold(
+            s,
+            (),
+            lambda acc, new: acc + (new,),
+            lambda t, kids, new: rebuild(t, new) if any(map(is_not, new, kids)) else t,
+        ),
+    )
 
 
 def all_tu(s: TU, monoid: Monoid) -> TU:
@@ -236,19 +275,7 @@ def all_tu(s: TU, monoid: Monoid) -> TU:
     The fold starts from the monoid's neutral element, so terms without
     children yield the neutral element.
     """
-    ctx = s.context
-
-    def run(t):
-        kids = children(t)
-
-        def go(i, acc):
-            if i == len(kids):
-                return ctx.pure(acc)
-            return ctx.bind(s.run(kids[i]), lambda r, i=i: go(i + 1, monoid.append(acc, r)))
-
-        return go(0, monoid.neutral)
-
-    return TU(ctx, run)
+    return TU(s.context, _fold(s, monoid.neutral, monoid.append, lambda t, kids, acc: acc))
 
 
 def one_tp(s: TP) -> TP:
@@ -257,40 +284,17 @@ def one_tp(s: TP) -> TP:
     Children are tried left to right and the search stops at the first
     success; terms without children fail.
     """
-    ctx = _partial_context(s.context)
+    ctx = s.context
 
-    def run(t):
-        kids = children(t)
+    def found(t, kids, i, comp):
+        return ctx.bind(comp, lambda new: ctx.pure(rebuild(t, kids[:i] + (new,) + kids[i + 1 :])))
 
-        def go(i):
-            if i == len(kids):
-                return ctx.zero()
-            attempt = lambda: ctx.bind(
-                s.run(kids[i]),
-                lambda new: ctx.pure(rebuild(t, kids[:i] + (new,) + kids[i + 1 :])),
-            )
-            return ctx.plus_lazy(attempt, lambda: go(i + 1))
-
-        return go(0)
-
-    return TP(ctx, run)
+    return TP(ctx, _search(s, found))
 
 
 def one_tu(s: TU) -> TU:
     """Analyse the leftmost immediate subterm the strategy succeeds on."""
-    ctx = _partial_context(s.context)
-
-    def run(t):
-        kids = children(t)
-
-        def go(i):
-            if i == len(kids):
-                return ctx.zero()
-            return ctx.plus_lazy(lambda: s.run(kids[i]), lambda: go(i + 1))
-
-        return go(0)
-
-    return TU(ctx, run)
+    return TU(s.context, _search(s, lambda t, kids, i, comp: comp))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:

@@ -161,9 +161,22 @@ def _entry(tag: TypeTag):
     return tag._entry
 
 
-class _AtomEntry:
-    kind = "atom"
+class _Entry:
+    """The view of one datatype that traversal, comparison and `freeze` use.
 
+    `field_types` lists the datatypes of the constructor fields; atoms
+    have none.  Every entry checks a term against its datatype
+    (`check`), gives its constructor and children, and tells whether two
+    of its terms agree at the top (`same_head`); all but atoms rebuild.
+    """
+
+    field_types: tuple = ()
+
+    def same_head(self, a, b):
+        return self.constructor_of(a) == self.constructor_of(b)
+
+
+class _AtomEntry(_Entry):
     def __init__(self, tag, pytype):
         self.tag = tag
         self.pytype = pytype
@@ -175,18 +188,20 @@ class _AtomEntry:
     def constructor_of(self, t):
         return ConstructorTag(repr(t.value), self.tag, ())
 
+    def same_head(self, a, b):
+        return type(a.value) is type(b.value) and a.value == b.value
+
     def children(self, t):
         return ()
 
 
-class _NodeEntry:
-    kind = "node"
-
+class _NodeEntry(_Entry):
     def __init__(self, tag, constructors):
         # constructors: list of (class, ConstructorTag, field name tuple)
         self.tag = tag
         self.by_class = {cls: (con, names) for cls, con, names in constructors}
         self.by_con = {con: (cls, names) for cls, con, names in constructors}
+        self.field_types = tuple(f for con in self.by_con for f in con.field_tags)
 
     def check(self, t):
         return type(t.value) in self.by_class
@@ -251,12 +266,11 @@ class _Cons(Term):
         return self.value
 
 
-class _ListEntry:
-    kind = "list"
-
+class _ListEntry(_Entry):
     def __init__(self, tag, elem):
         self.tag = tag
         self.elem = elem
+        self.field_types = (elem, tag)
         self.nil = ConstructorTag("Nil", tag, ())
         self.cons = ConstructorTag("Cons", tag, (elem, tag))
 
@@ -282,13 +296,12 @@ class _ListEntry:
         return _Cons(kids[0], kids[1], self.tag)
 
 
-class _PairEntry:
-    kind = "pair"
-
+class _PairEntry(_Entry):
     def __init__(self, tag, first, second):
         self.tag = tag
         self.first = first
         self.second = second
+        self.field_types = (first, second)
         self.pair = ConstructorTag("Pair", tag, (first, second))
 
     def check(self, t):
@@ -305,12 +318,11 @@ class _PairEntry:
         return Term((kids[0].value, kids[1].value), self.tag)
 
 
-class _OptionalEntry:
-    kind = "optional"
-
+class _OptionalEntry(_Entry):
     def __init__(self, tag, elem):
         self.tag = tag
         self.elem = elem
+        self.field_types = (elem,)
         self.none = ConstructorTag("None", tag, ())
         self.some = ConstructorTag("Some", tag, (elem,))
 
@@ -348,7 +360,7 @@ _containers: dict = {}
 
 def list_of(elem: TypeTag) -> TypeTag:
     """The datatype of sequences over one element type."""
-    key = ("list", elem)
+    key = (_ListEntry, elem)
     if key not in _containers:
         tag = TypeTag(f"List({elem.name})")
         tag._entry = _ListEntry(tag, elem)
@@ -358,7 +370,7 @@ def list_of(elem: TypeTag) -> TypeTag:
 
 def pair_of(first: TypeTag, second: TypeTag) -> TypeTag:
     """The datatype of two-tuples over two element types."""
-    key = ("pair", first, second)
+    key = (_PairEntry, first, second)
     if key not in _containers:
         tag = TypeTag(f"Pair({first.name},{second.name})")
         tag._entry = _PairEntry(tag, first, second)
@@ -368,7 +380,7 @@ def pair_of(first: TypeTag, second: TypeTag) -> TypeTag:
 
 def optional_of(elem: TypeTag) -> TypeTag:
     """The datatype of an optional value: None or an element."""
-    key = ("optional", elem)
+    key = (_OptionalEntry, elem)
     if key not in _containers:
         tag = TypeTag(f"Opt({elem.name})")
         tag._entry = _OptionalEntry(tag, elem)
@@ -445,13 +457,10 @@ def same_term(a: Term, b: Term) -> bool:
         if a.tag is not b.tag:
             return False
         entry = _entry(a.tag)
-        if entry.kind == "atom":
-            if type(a.value) is not type(b.value) or a.value != b.value:
-                return False
-            continue
-        if entry.constructor_of(a) != entry.constructor_of(b):
+        if not entry.same_head(a, b):
             return False
-        pending.extend(zip(reversed(entry.children(a)), reversed(entry.children(b))))
+        if entry.field_types:
+            pending.extend(zip(reversed(entry.children(a)), reversed(entry.children(b))))
     return True
 
 
@@ -588,26 +597,12 @@ class Registry:
     def freeze(self) -> None:
         """Refuse further definitions after checking the closure property."""
         seen = set()
-
-        def walk(tag):
-            if tag in seen:
-                return
-            seen.add(tag)
-            entry = _entry(tag)
-            if entry.kind == "node":
-                for con, _ in entry.by_con.items():
-                    for ftag in con.field_tags:
-                        walk(ftag)
-            elif entry.kind == "list":
-                walk(entry.elem)
-            elif entry.kind == "pair":
-                walk(entry.first)
-                walk(entry.second)
-            elif entry.kind == "optional":
-                walk(entry.elem)
-
-        for tag in self._by_name.values():
-            walk(tag)
+        pending = list(self._by_name.values())
+        while pending:
+            tag = pending.pop()
+            if tag not in seen:
+                seen.add(tag)
+                pending.extend(_entry(tag).field_types)
         self._frozen = True
 
     @property
@@ -629,7 +624,7 @@ class Registry:
 def descriptor_lines(tag: TypeTag) -> list[str]:
     """Render a node datatype in the textual descriptor format."""
     entry = _entry(tag)
-    if entry.kind != "node":
+    if not isinstance(entry, _NodeEntry):
         raise TypeError(f"{tag!r} is not an algebraic datatype")
     lines = []
     for con in entry.by_con:

@@ -15,7 +15,12 @@ The defining equations, with seq/choice/all/one from the core vocabulary:
   try_(s)      = choice(s, identity)
   repeat_(s)   = try_(seq(s, repeat_(s)))
   innermost(s) = seq(all(innermost(s)), try_(seq(s, innermost(s))))
-  select(s)    = choice(s, one(select(s)))
+
+A scheme written once reads at both kinds (see `traverse_meta`).  The
+analyses `crush`, `stop_td_tu` and `select` are TU readings, not schemes
+of their own: `crush` is `topdown` and `stop_td_tu` is `stop_td`, each
+over `tu_ops(monoid)`, where seq runs both analyses on the same term and
+appends their results; `select` is `once_td` at an analysis.
 
 `repeat_` and `innermost` terminate only for terminating rewrite systems.
 """
@@ -24,10 +29,12 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from .effects import EffectMorphism, Monoid, SET_UNION, StateOver, unlift_state
+from .effects import Monoid, SET_UNION, StateOver, unlift_state
 from .strategies import (
     TP,
     TU,
+    OverloadedOps,
+    _recursive,
     all_tp,
     all_tu,
     build_tu,
@@ -40,6 +47,8 @@ from .strategies import (
     one_tp,
     one_tu,
     seq_tp,
+    tp_ops,
+    tu_ops,
 )
 
 __all__ = [
@@ -61,48 +70,48 @@ __all__ = [
 ]
 
 
-def _recursive(kind, ctx, define):
-    # Tie the knot: hand `define` a self-reference before the body exists.
-    def run(t):
-        return body.run(t)
+def _topdown(ops: OverloadedOps, s):
+    return traverse_meta(ops.seq, ops.all, s)
 
-    rec = kind(ctx, run)
-    body = define(rec)
-    return rec
+
+def _stop_td(ops: OverloadedOps, s):
+    return traverse_meta(ops.choice, ops.all, s)
+
+
+def _choice_one(s):
+    # The kind's (choice, one): a scheme built from them reads at both kinds.
+    return (choice_tp, one_tp) if isinstance(s, TP) else (choice_tu, one_tu)
 
 
 def topdown(s: TP) -> TP:
     """Apply a transformation to every subterm, root first."""
-    return _recursive(TP, s.context, lambda rec: seq_tp(s, all_tp(rec)))
+    return _topdown(tp_ops(), s)
 
 
 def bottomup(s: TP) -> TP:
     """Apply a transformation to every subterm, leaves first."""
-    return _recursive(TP, s.context, lambda rec: seq_tp(all_tp(rec), s))
+    return _recursive(s, lambda rec: seq_tp(all_tp(rec), s))
 
 
 def once_td(s):
     """Apply a strategy to the first subterm it succeeds on, in preorder."""
-    if isinstance(s, TP):
-        return _recursive(TP, s.context, lambda rec: choice_tp(s, one_tp(rec)))
-    return _recursive(TU, s.context, lambda rec: choice_tu(s, one_tu(rec)))
+    return traverse_meta(*_choice_one(s), s)
 
 
 def once_bu(s):
     """Apply a strategy to the first subterm it succeeds on, leaves first."""
-    if isinstance(s, TP):
-        return _recursive(TP, s.context, lambda rec: choice_tp(one_tp(rec), s))
-    return _recursive(TU, s.context, lambda rec: choice_tu(one_tu(rec), s))
+    choice, one = _choice_one(s)
+    return _recursive(s, lambda rec: choice(one(rec), s))
 
 
 def stop_td(s: TP) -> TP:
     """Transform top-down but do not descend below a success."""
-    return _recursive(TP, s.context, lambda rec: choice_tp(s, all_tp(rec)))
+    return _stop_td(tp_ops(), s)
 
 
 def stop_td_tu(s: TU, monoid: Monoid) -> TU:
     """Collect top-down, cutting off below every success."""
-    return _recursive(TU, s.context, lambda rec: choice_tu(s, all_tu(rec, monoid)))
+    return _stop_td(tu_ops(monoid), s)
 
 
 def try_(s: TP) -> TP:
@@ -112,16 +121,12 @@ def try_(s: TP) -> TP:
 
 def repeat_(s: TP) -> TP:
     """Apply a transformation at the root until it fails."""
-    return _recursive(TP, s.context, lambda rec: try_(seq_tp(s, rec)))
+    return _recursive(s, lambda rec: try_(seq_tp(s, rec)))
 
 
 def innermost(s: TP) -> TP:
     """Rewrite to normal form: exhaustively, innermost redexes first."""
-    return _recursive(
-        TP,
-        s.context,
-        lambda rec: seq_tp(all_tp(rec), try_(seq_tp(s, rec))),
-    )
+    return _recursive(s, lambda rec: seq_tp(all_tp(rec), try_(seq_tp(s, rec))))
 
 
 def crush(s: TU, monoid: Monoid) -> TU:
@@ -131,21 +136,7 @@ def crush(s: TU, monoid: Monoid) -> TU:
     The step must succeed everywhere it is reached; wrap a partial step
     in choice with a neutral build first.
     """
-    ctx = s.context
-
-    def define(rec):
-        def run(t):
-            return ctx.bind(
-                s.run(t),
-                lambda here: ctx.bind(
-                    all_tu(rec, monoid).run(t),
-                    lambda below: ctx.pure(monoid.append(here, below)),
-                ),
-            )
-
-        return TU(ctx, run)
-
-    return _recursive(TU, ctx, define)
+    return _topdown(tu_ops(monoid), s)
 
 
 def select(s: TU) -> TU:
@@ -153,7 +144,7 @@ def select(s: TU) -> TU:
 
     Fails only if the analysis fails at every subterm.
     """
-    return _recursive(TU, s.context, lambda rec: choice_tu(s, one_tu(rec)))
+    return once_td(s)
 
 
 def selectenv(env, update: Callable, s: Callable[[Any], TU]) -> TU:
@@ -163,14 +154,10 @@ def selectenv(env, update: Callable, s: Callable[[Any], TU]) -> TU:
     below the node the environment becomes `update(env, node)`.
     """
     ctx = s(env).context
+    node = TU(ctx, ctx.pure)  # the analysis whose result is the term itself
 
     def at(env):
-        def run(t):
-            return ctx.plus_lazy(
-                lambda: s(env).run(t), lambda: one_tu(at(update(env, t))).run(t)
-            )
-
-        return TU(ctx, run)
+        return choice_tu(s(env), let_tu(node, lambda t: one_tu(at(update(env, t)))))
 
     return at(env)
 
@@ -184,19 +171,20 @@ def free_names(refs: TU, decs: TU) -> TU:
     it binds.
     """
     ctx = refs.context
-    return _recursive(
-        TU,
-        ctx,
-        lambda rec: let_tu(
+
+    def define(rec):
+        below = all_tu(rec, SET_UNION)
+        return let_tu(
             refs,
             lambda used: let_tu(
-                all_tu(rec, SET_UNION),
-                lambda below: let_tu(
-                    decs, lambda bound: build_tu(ctx, (used | below) - bound)
+                below,
+                lambda under: let_tu(
+                    decs, lambda bound: build_tu(ctx, (used | under) - bound)
                 ),
             ),
-        ),
-    )
+        )
+
+    return _recursive(refs, define)
 
 
 def traverse_meta(combine: Callable, descend: Callable, s):
@@ -206,7 +194,7 @@ def traverse_meta(combine: Callable, descend: Callable, s):
     transformations and as crush for analyses; (choice, one) reads as
     once_td for both.
     """
-    return _recursive(type(s), s.context, lambda rec: combine(s, descend(rec)))
+    return _recursive(s, lambda rec: combine(s, descend(rec)))
 
 
 def local_state(initial, s):

@@ -156,6 +156,14 @@ def test_error_positions():
     assert str(e).startswith("2:5:")
 
 
+def test_only_ascii_digits_start_a_literal():
+    # str.isdigit() also holds for superscripts and other scripts' digits.
+    e = _err("module M where\nx = ²\n")
+    assert (e.line, e.col, e.message) == (2, 5, "unexpected character '²'")
+    e = _err("module M where\nx = ٣\n")
+    assert (e.line, e.col) == (2, 5)
+
+
 def test_unterminated_string():
     e = _err('module M where\na = "oops\n')
     assert "unterminated" in e.message

@@ -260,6 +260,41 @@ def test_one_stops_probing_after_a_success():
     assert probed == [1]
 
 
+def test_all_tu_threads_state_left_to_right():
+    ctx = STATE
+
+    def stamp(v):
+        return ctx.bind(
+            ctx.get(), lambda n: ctx.bind(ctx.put(n + 1), lambda _: ctx.pure([(n, v)]))
+        )
+
+    s = all_tu(adhoc_tu(build_tu(ctx, []), INT, stamp), LIST_CONCAT)
+    out = run_state(apply(s, term((7, 8), pair_of(INT, INT))), 0)
+    assert out == ([(0, 7), (1, 8)], 2)
+
+
+def test_one_keeps_only_the_state_of_the_child_that_succeeded():
+    ctx = PARTIAL_STATE
+
+    def record_then_fail_on_odd(result):
+        # Records the value it saw, then fails on odd values.
+        def step(v):
+            return ctx.bind(
+                ctx.get(),
+                lambda seen: ctx.bind(
+                    ctx.put(seen + (v,)), lambda _: ctx.zero() if v % 2 else ctx.pure(result(v))
+                ),
+            )
+
+        return step
+
+    t = term((1, 2), pair_of(INT, INT))
+    tp = one_tp(adhoc_tp(fail_tp(ctx), INT, record_then_fail_on_odd(lambda v: v + 1)))
+    assert run_state(apply(tp, t), ()) == Just((term((1, 3), pair_of(INT, INT)), (2,)))
+    tu = one_tu(adhoc_tu(fail_tu(ctx), INT, record_then_fail_on_odd(lambda v: v)))
+    assert run_state(apply(tu, t), ()) == Just((2, (2,)))
+
+
 def test_msubst_moves_contexts():
     recovered = msubst_tp(partial_to_identity(term(0)), fail_tp(PARTIAL))
     assert recovered.context == IDENTITY

@@ -368,6 +368,20 @@ def test_freeze_requires_every_declared_type_defined():
         r.freeze()
 
 
+def test_freeze_follows_field_types_through_containers():
+    other = Registry()
+    ghost = other.declare("Ghost")
+    r = Registry()
+
+    @dataclass(frozen=True)
+    class Holder:
+        items: object
+
+    r.define(r.declare("H"), [(Holder, (list_of(optional_of(pair_of(INT, ghost))),))])
+    with pytest.raises(UnregisteredType):
+        r.freeze()
+
+
 def test_non_dataclass_constructor_rejected():
     r = Registry()
 
