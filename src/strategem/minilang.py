@@ -14,7 +14,14 @@ Concrete syntax, one declaration per line, `--` line comments:
   aexpr  ::= VARID | CONID | INT | STRING | "(" expr ")" | "<<" expr ">>"
   pat    ::= VARID | "(" CONID pat* ")"
 
-Integers are unsigned decimals, strings are double-quoted with no escapes.
+Lexical rules: names are ASCII, `[A-Za-z_][A-Za-z0-9_']*`; one starting
+with an upper-case letter is a CONID, any other a VARID, except the six
+quoted keywords.  INT is the digits 0-9; STRING is double-quoted on one
+line, with no escapes.  String and comment text is not lexed, so it may
+hold any character but a newline (in a string, also not `"`).  Spaces,
+tabs and carriage returns are blanks.  The command line also requires
+the whole file to be ASCII.
+
 `<< ... >>` marks a focus; a module may contain at most one expression
 focus and at most one type focus, checked at parse time.  Application and
 type application associate left, function arrows associate right.
@@ -28,8 +35,9 @@ the .ml0 extension.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import TypeAlias
+from typing import NamedTuple, TypeAlias
 
 from .terms import Registry, Term
 
@@ -208,9 +216,24 @@ class MultipleFociError(ParseError):
 
 _KEYWORDS = frozenset({"module", "where", "data", "type", "let", "in"})
 
+# One alternative per token class, tried in order; OTHER catches any
+# character no other alternative starts with, so matches tile the source.
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE>\n)
+    | (?P<SKIP>[ \t\r]+ | --[^\n]*)
+    | (?P<PUNCT>-> | << | >> | [=|()\\])
+    | "(?P<STRING>[^"\n]*)"
+    | (?P<UNTERMINATED>")
+    | (?P<INT>[0-9]+)
+    | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<OTHER>.)
+    """,
+    re.VERBOSE,
+)
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -218,89 +241,31 @@ class _Token:
 
 
 def _tokenize(source: str) -> list[_Token]:
+    """Keywords and punctuation are tokens whose kind is their own text."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def tok(kind, text):
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            continue
+        text, col = m[kind], m.start() - line_start + 1
+        if kind == "NAME":
+            kind = text if text in _KEYWORDS else "CONID" if text[0].isupper() else "VARID"
+        elif kind == "PUNCT":
+            kind = text
+        elif kind == "UNTERMINATED":
+            raise ParseError("unterminated string", line, col)
+        elif kind == "OTHER":
+            raise ParseError(f"unexpected character {text!r}", line, col)
         tokens.append(_Token(kind, text, line, col))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            tok("NEWLINE", "\n")
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == ">":
-            tok("PUNCT", "->")
-            i += 2
-            col += 2
-            continue
-        if ch == "-" and i + 1 < n and source[i + 1] == "-":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "<" and i + 1 < n and source[i + 1] == "<":
-            tok("PUNCT", "<<")
-            i += 2
-            col += 2
-            continue
-        if ch == ">" and i + 1 < n and source[i + 1] == ">":
-            tok("PUNCT", ">>")
-            i += 2
-            col += 2
-            continue
-        if ch in "=|()\\":
-            tok("PUNCT", ch)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] == "\n":
-                raise ParseError("unterminated string", line, col)
-            tok("STRING", source[i + 1 : j])
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tok("INT", source[i:j])
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
-            if text in _KEYWORDS:
-                tok("KEYWORD", text)
-            elif text[0].isupper():
-                tok("CONID", text)
-            else:
-                tok("VARID", text)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+    tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
     return tokens
 
 
-_ATYPE_START = {("CONID", None), ("VARID", None), ("PUNCT", "("), ("PUNCT", "<<")}
-_AEXPR_START = _ATYPE_START | {("INT", None), ("STRING", None)}
+_ATYPE_START = frozenset({"CONID", "VARID", "(", "<<"})
+_AEXPR_START = _ATYPE_START | {"INT", "STRING"}
 
 
 class _Parser:
@@ -322,21 +287,15 @@ class _Parser:
         t = self.peek()
         raise ParseError(message, t.line, t.col)
 
-    def expect(self, kind, text=None) -> _Token:
+    def expect(self, kind) -> _Token:
         t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
+        if t.kind != kind:
             got = t.text if t.kind != "EOF" else "end of input"
-            self.fail(f"expected {want!r}, got {got!r}")
+            self.fail(f"expected {kind!r}, got {got!r}")
         return self.advance()
 
-    def at(self, kind, text=None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
-
-    def starts(self, start_set) -> bool:
-        t = self.peek()
-        return (t.kind, None) in start_set or (t.kind, t.text) in start_set
+    def at(self, kind) -> bool:
+        return self.peek().kind == kind
 
     def skip_newlines(self):
         while self.at("NEWLINE"):
@@ -344,9 +303,9 @@ class _Parser:
 
     def module(self) -> Module:
         self.skip_newlines()
-        self.expect("KEYWORD", "module")
+        self.expect("module")
         name = self.expect("CONID").text
-        self.expect("KEYWORD", "where")
+        self.expect("where")
         decls = []
         while True:
             if self.at("EOF"):
@@ -360,46 +319,46 @@ class _Parser:
         return Module(name, tuple(decls))
 
     def decl(self) -> Decl:
-        if self.at("KEYWORD", "data"):
+        if self.at("data"):
             self.advance()
             name = self.expect("CONID").text
-            self.expect("PUNCT", "=")
+            self.expect("=")
             cons = [self.con()]
-            while self.at("PUNCT", "|"):
+            while self.at("|"):
                 self.advance()
                 cons.append(self.con())
             return DataDecl(name, tuple(cons))
-        if self.at("KEYWORD", "type"):
+        if self.at("type"):
             self.advance()
             name = self.expect("CONID").text
-            self.expect("PUNCT", "=")
+            self.expect("=")
             return TypeSyn(name, self.type())
         if self.at("VARID"):
             name = self.advance().text
             params = []
-            while not self.at("PUNCT", "="):
+            while not self.at("="):
                 params.append(self.pat())
-            self.expect("PUNCT", "=")
+            self.expect("=")
             return FunBind(name, tuple(params), self.expr())
         self.fail("expected a declaration")
 
     def con(self):
         name = self.expect("CONID").text
         fields = []
-        while self.starts(_ATYPE_START):
+        while self.peek().kind in _ATYPE_START:
             fields.append(self.atype())
         return (name, tuple(fields))
 
     def type(self) -> Type:
         left = self.btype()
-        if self.at("PUNCT", "->"):
+        if self.at("->"):
             self.advance()
             return TyFun(left, self.type())
         return left
 
     def btype(self) -> Type:
         ty = self.atype()
-        while self.starts(_ATYPE_START):
+        while self.peek().kind in _ATYPE_START:
             ty = TyApp(ty, self.atype())
         return ty
 
@@ -408,36 +367,36 @@ class _Parser:
             return TyCon(self.advance().text)
         if self.at("VARID"):
             return TyVar(self.advance().text)
-        if self.at("PUNCT", "("):
+        if self.at("("):
             self.advance()
             ty = self.type()
-            self.expect("PUNCT", ")")
+            self.expect(")")
             return ty
-        if self.at("PUNCT", "<<"):
+        if self.at("<<"):
             tok = self.advance()
             self.type_foci += 1
             if self.type_foci > 1:
                 raise MultipleFociError("more than one type focus", tok.line, tok.col)
             ty = self.type()
-            self.expect("PUNCT", ">>")
+            self.expect(">>")
             return TyFocus(ty)
         self.fail("expected a type")
 
     def expr(self) -> Expr:
-        if self.at("KEYWORD", "let"):
+        if self.at("let"):
             self.advance()
             name = self.expect("VARID").text
-            self.expect("PUNCT", "=")
+            self.expect("=")
             bound = self.expr()
-            self.expect("KEYWORD", "in")
+            self.expect("in")
             return Let(name, bound, self.expr())
-        if self.at("PUNCT", "\\"):
+        if self.at("\\"):
             self.advance()
             param = self.pat()
-            self.expect("PUNCT", "->")
+            self.expect("->")
             return Lam(param, self.expr())
         e = self.aexpr()
-        while self.starts(_AEXPR_START):
+        while self.peek().kind in _AEXPR_START:
             e = App(e, self.aexpr())
         return e
 
@@ -450,29 +409,29 @@ class _Parser:
             return LitInt(int(self.advance().text))
         if self.at("STRING"):
             return LitStr(self.advance().text)
-        if self.at("PUNCT", "("):
+        if self.at("("):
             self.advance()
             e = self.expr()
-            self.expect("PUNCT", ")")
+            self.expect(")")
             return e
-        if self.at("PUNCT", "<<"):
+        if self.at("<<"):
             tok = self.advance()
             self.expr_foci += 1
             if self.expr_foci > 1:
                 raise MultipleFociError("more than one expression focus", tok.line, tok.col)
             e = self.expr()
-            self.expect("PUNCT", ">>")
+            self.expect(">>")
             return Focus(e)
         self.fail("expected an expression")
 
     def pat(self) -> Pattern:
         if self.at("VARID"):
             return PVar(self.advance().text)
-        if self.at("PUNCT", "("):
+        if self.at("("):
             self.advance()
             name = self.expect("CONID").text
             args = []
-            while not self.at("PUNCT", ")"):
+            while not self.at(")"):
                 args.append(self.pat())
             self.advance()
             return PCon(name, tuple(args))

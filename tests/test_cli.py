@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strategem.cli import main
 
@@ -131,6 +135,30 @@ def test_non_ascii_input_exits_two_with_the_byte_offset(tmp_path, capsys, lines)
     code, out, err = run(capsys, "count-decls", str(path))
     assert (code, out) == (2, "")
     assert err == f"{path}: not ASCII text (byte 0xc3 at offset {len(head) + 4})\n"
+
+
+# The exit-code contract on any file.  The files are small: modules of 100
+# or more declarations exhaust the default recursion limit (README, Limits).
+
+
+CORPUS_FILES = [path.read_bytes() for path in sorted(CORPUS.rglob("*.ml0"))]
+
+
+@st.composite
+def _corpus_file_with_inserted_bytes(draw):
+    data = bytearray(draw(st.sampled_from(CORPUS_FILES)))
+    for _ in range(draw(st.integers(0, 8))):
+        data.insert(draw(st.integers(0, len(data))), draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+@given(st.one_of(st.binary(max_size=256), _corpus_file_with_inserted_bytes()))
+def test_every_command_exits_zero_one_or_two_on_any_file(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input.ml0"
+    path.write_bytes(data)
+    for argv in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, str(path)]) in (0, 1, 2)
 
 
 # Formats.

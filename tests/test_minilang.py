@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import gen_terms
 from strategem.minilang import (
@@ -162,6 +163,38 @@ def test_only_ascii_digits_start_a_literal():
     assert (e.line, e.col, e.message) == (2, 5, "unexpected character '²'")
     e = _err("module M where\nx = ٣\n")
     assert (e.line, e.col) == (2, 5)
+    # Names are ASCII too; string and comment text is not lexed.
+    e = _err("module M where\nx = é\n")
+    assert (e.line, e.col, e.message) == (2, 5, "unexpected character 'é'")
+    e = _err("module M where\ny² = 1\n")
+    assert (e.line, e.col, e.message) == (2, 2, "unexpected character '²'")
+    e = _err("module M where\nÉ = 1\n")
+    assert (e.line, e.col) == (2, 1)
+    assert parse('module M where\na = "é" -- café\n').decls[0].body == LitStr("é")
+
+
+def _blanks_outside_strings(text):
+    inside = False
+    for i, ch in enumerate(text):
+        if ch == '"':
+            inside = not inside
+        elif ch == " " and not inside:
+            yield i
+
+
+@given(gen_terms.modules, st.data())
+def test_errors_point_at_the_offending_character(m, data):
+    text = pretty(m)
+    i = data.draw(st.sampled_from(list(_blanks_outside_strings(text))))
+    e = _err(text[:i] + "@" + text[i + 1 :])
+    line = text.count("\n", 0, i) + 1
+    col = i - text.rfind("\n", 0, i)
+    assert (e.line, e.col, e.message) == (line, col, "unexpected character '@'")
+
+
+@given(gen_terms.modules)
+def test_crlf_line_ends_parse_the_same(m):
+    assert parse(pretty(m).replace("\n", "\r\n")) == m
 
 
 def test_unterminated_string():
