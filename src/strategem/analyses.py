@@ -22,13 +22,16 @@ GuardFailed; everything else is total.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .effects import (
     IDENTITY,
     INT_SUM,
+    NOTHING,
     PARTIAL,
     SET_UNION,
     STATE,
+    Just,
     is_just,
 )
 from .minilang import (
@@ -56,12 +59,11 @@ from .strategies import (
     adhoc_tu,
     apply,
     build_tu,
-    choice_tu,
     fail_tp,
     fail_tu,
     identity_tp,
 )
-from .terms import INT, STR, Term, TypeTag, cast, same_term
+from .terms import INT, STR, Term, TypeTag, cast
 from .themes import crush, free_names, local_state, once_td, select, topdown
 
 __all__ = [
@@ -111,24 +113,17 @@ def inc_ints(t: Term) -> Term:
     return apply(topdown(step), t)
 
 
-def _decl_type_names(d):
-    if isinstance(d, (DataDecl, TypeSyn)):
-        return IDENTITY.pure(frozenset({d.name}))
-    return IDENTITY.pure(frozenset())
-
-
-def _used_type_names(ty):
-    if isinstance(ty, TyCon):
-        return IDENTITY.pure(frozenset({ty.name}))
-    return IDENTITY.pure(frozenset())
+def _name_of(*classes):
+    # A node's own name if it is one of `classes`, else no names.
+    return lambda v: IDENTITY.pure(frozenset({v.name} if isinstance(v, classes) else ()))
 
 
 # One-node step: type names declared here (data and synonym heads) or used
 # here (type constructor occurrences); empty anywhere else.
 any_types: TU = adhoc_tu(
-    adhoc_tu(build_tu(IDENTITY, frozenset()), DECL, _decl_type_names),
+    adhoc_tu(build_tu(IDENTITY, frozenset()), DECL, _name_of(DataDecl, TypeSyn)),
     TYPE,
-    _used_type_names,
+    _name_of(TyCon),
 )
 
 
@@ -149,12 +144,6 @@ def _pattern_vars(p) -> frozenset:
     for arg in p.args:
         out |= _pattern_vars(arg)
     return out
-
-
-def _refs(e):
-    if isinstance(e, Var):
-        return IDENTITY.pure(frozenset({e.name}))
-    return IDENTITY.pure(frozenset())
 
 
 def _expr_decs(e):
@@ -185,7 +174,7 @@ def _module_decs(m):
 def free_vars(t: Term) -> NameSet:
     """Free variables of any syntax fragment, respecting all binders."""
     empty = build_tu(IDENTITY, frozenset())
-    refs = adhoc_tu(empty, EXPR, _refs)
+    refs = adhoc_tu(empty, EXPR, _name_of(Var))
     decs = adhoc_tu(
         adhoc_tu(adhoc_tu(empty, EXPR, _expr_decs), DECL, _decl_decs),
         MODULE,
@@ -194,34 +183,25 @@ def free_vars(t: Term) -> NameSet:
     return apply(free_names(refs, decs), t)
 
 
-def _focused_type(ty):
-    if isinstance(ty, TyFocus):
-        return PARTIAL.pure(ty.inner)
-    return PARTIAL.zero()
+def _select(module: Module, tag: TypeTag, marker: type, what: str):
+    # The contents of the first `marker` node of datatype `tag`, in preorder.
+    def inner(node):
+        return PARTIAL.pure(node.inner) if isinstance(node, marker) else PARTIAL.zero()
 
-
-def _focused_expr(e):
-    if isinstance(e, Focus):
-        return PARTIAL.pure(e.inner)
-    return PARTIAL.zero()
+    got = apply(select(adhoc_tu(fail_tu(PARTIAL), tag, inner)), to_term(module))
+    if not is_just(got):
+        raise NoFocus(f"module has no {what} focus")
+    return got.value
 
 
 def select_type_focus(module: Module):
     """The type inside the module's type focus."""
-    step = adhoc_tu(fail_tu(PARTIAL), TYPE, _focused_type)
-    got = apply(select(step), to_term(module))
-    if not is_just(got):
-        raise NoFocus("module has no type focus")
-    return got.value
+    return _select(module, TYPE, TyFocus, "type")
 
 
 def select_focus(module: Module):
     """The expression inside the module's expression focus."""
-    step = adhoc_tu(fail_tu(PARTIAL), EXPR, _focused_expr)
-    got = apply(select(step), to_term(module))
-    if not is_just(got):
-        raise NoFocus("module has no expression focus")
-    return got.value
+    return _select(module, EXPR, Focus, "expression")
 
 
 def to_alias(name: str, module: Module) -> Module:
@@ -281,18 +261,27 @@ def de_bruijn(t: Term) -> Term:
 class Coder:
     """Issues stable integer codes for terms.
 
-    `counter` is the highest code handed out; `lookup` is a unifying
-    strategy over the partial context that knows the codes assigned so
-    far.  Updating is pure: operations return a new Coder.
+    `counter` is the highest code handed out; `codes` maps terms, keyed
+    by structure, to their codes; `lookup` reads that map as a unifying
+    strategy over the partial context.  Updating is pure: operations
+    return a new Coder.
     """
 
     counter: int
-    lookup: TU
+    codes: Mapping[Term, int]
+
+    @property
+    def lookup(self) -> TU:
+        def run(t):
+            code = self.codes.get(t)
+            return NOTHING if code is None else Just(code)
+
+        return TU(PARTIAL, run)
 
 
 def no_codes() -> Coder:
     """A coder with no codes assigned."""
-    return Coder(0, fail_tu(PARTIAL))
+    return Coder(0, {})
 
 
 def get_code(coder: Coder, t: Term):
@@ -303,25 +292,17 @@ def get_code(coder: Coder, t: Term):
 def next_code(coder: Coder):
     """Reserve the next code; returns it and the advanced coder."""
     code = coder.counter + 1
-    return code, Coder(code, coder.lookup)
+    return code, Coder(code, coder.codes)
 
 
 def set_code(coder: Coder, t: Term) -> Coder:
     """Assign the coder's current counter value as the code of a term.
 
-    The lookup strategy is extended pointwise: a new branch answers for
-    terms equal to this one, everything else falls through to the old
-    lookup.
+    The lookup is updated pointwise: terms equal to this one now answer
+    with the code, every other term as before.  The map is copied, so the
+    given coder does not see the new code.
     """
-    code = coder.counter
-
-    def known(value):
-        if same_term(Term(value, t.tag), t):
-            return PARTIAL.pure(code)
-        return PARTIAL.zero()
-
-    branch = adhoc_tu(fail_tu(PARTIAL), t.tag, known)
-    return Coder(coder.counter, choice_tu(branch, coder.lookup))
+    return Coder(coder.counter, {**coder.codes, t: coder.counter})
 
 
 def encode(coder: Coder, t: Term):

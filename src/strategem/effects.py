@@ -101,10 +101,6 @@ class EffectContext:
     def bind(self, comp, fn):
         raise NotImplementedError
 
-    def plus_lazy(self, first, second):
-        # Default for contexts whose plus cannot short-circuit: force both.
-        return self.plus(first(), second())
-
     def __repr__(self):
         return f"<context {self.kind}>"
 

@@ -272,8 +272,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
-        self.expr_foci = 0
-        self.type_foci = 0
+        self.foci = {"expression": 0, "type": 0}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -373,13 +372,7 @@ class _Parser:
             self.expect(")")
             return ty
         if self.at("<<"):
-            tok = self.advance()
-            self.type_foci += 1
-            if self.type_foci > 1:
-                raise MultipleFociError("more than one type focus", tok.line, tok.col)
-            ty = self.type()
-            self.expect(">>")
-            return TyFocus(ty)
+            return self.focus("type", self.type, TyFocus)
         self.fail("expected a type")
 
     def expr(self) -> Expr:
@@ -415,14 +408,17 @@ class _Parser:
             self.expect(")")
             return e
         if self.at("<<"):
-            tok = self.advance()
-            self.expr_foci += 1
-            if self.expr_foci > 1:
-                raise MultipleFociError("more than one expression focus", tok.line, tok.col)
-            e = self.expr()
-            self.expect(">>")
-            return Focus(e)
+            return self.focus("expression", self.expr, Focus)
         self.fail("expected an expression")
+
+    def focus(self, what, inner, make):
+        tok = self.advance()
+        self.foci[what] += 1
+        if self.foci[what] > 1:
+            raise MultipleFociError(f"more than one {what} focus", tok.line, tok.col)
+        node = inner()
+        self.expect(">>")
+        return make(node)
 
     def pat(self) -> Pattern:
         if self.at("VARID"):

@@ -21,6 +21,10 @@ Registries are populated at import time and then frozen, which also checks
 the closure property: every datatype reachable from a registered one is
 itself registered.
 
+Terms compare and hash by structure, whatever form a list value takes.
+A hash walks the whole term, O(size), and is not cached; a term used as
+a dict key must not have its list value mutated afterwards.
+
 Ordinary datatypes are registered with `Registry.derive`, which reads
 constructor field types straight from dataclass annotations.  A textual
 descriptor format (one `TypeName.ConName : FieldType*` line per
@@ -40,7 +44,6 @@ pays O(length) for each cons cell it runs on.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import types
 import typing
 from dataclasses import dataclass
@@ -105,12 +108,10 @@ class TypeTag:
     datatype equality.
     """
 
-    __slots__ = ("name", "uid", "_entry")
-    _uids = itertools.count(1)
+    __slots__ = ("name", "_entry")
 
     def __init__(self, name: str):
         self.name = name
-        self.uid = next(TypeTag._uids)
         self._entry = None
 
     def __repr__(self):
@@ -137,7 +138,7 @@ class Term:
     """A value paired with the tag of its datatype.
 
     Terms are immutable handles.  Equality is structural: same tag, same
-    constructor, pairwise equal children.
+    constructor, pairwise equal children.  Equal terms hash alike.
     """
 
     __slots__ = ("value", "tag")
@@ -150,6 +151,9 @@ class Term:
         if not isinstance(other, Term):
             return NotImplemented
         return same_term(self, other)
+
+    def __hash__(self):
+        return hash(tuple((t.tag, _entry(t.tag).head(t)) for t in _preorder(self)))
 
     def __repr__(self):
         return f"Term({self.value!r} : {self.tag.name})"
@@ -166,14 +170,14 @@ class _Entry:
 
     `field_types` lists the datatypes of the constructor fields; atoms
     have none.  Every entry checks a term against its datatype
-    (`check`), gives its constructor and children, and tells whether two
-    of its terms agree at the top (`same_head`); all but atoms rebuild.
+    (`check`), gives its constructor, children and `head` (what equal
+    terms share at the top); all but atoms rebuild.
     """
 
     field_types: tuple = ()
 
-    def same_head(self, a, b):
-        return self.constructor_of(a) == self.constructor_of(b)
+    def head(self, t):
+        return self.constructor_of(t)
 
 
 class _AtomEntry(_Entry):
@@ -188,8 +192,8 @@ class _AtomEntry(_Entry):
     def constructor_of(self, t):
         return ConstructorTag(repr(t.value), self.tag, ())
 
-    def same_head(self, a, b):
-        return type(a.value) is type(b.value) and a.value == b.value
+    def head(self, t):
+        return (type(t.value), t.value)
 
     def children(self, t):
         return ()
@@ -358,34 +362,27 @@ _ATOM_BY_TYPE = {int: INT, str: STR, bool: BOOL}
 _containers: dict = {}
 
 
+def _container(entry, name, *fields) -> TypeTag:
+    key = (entry, *fields)
+    if key not in _containers:
+        _containers[key] = tag = TypeTag(name)
+        tag._entry = entry(tag, *fields)
+    return _containers[key]
+
+
 def list_of(elem: TypeTag) -> TypeTag:
     """The datatype of sequences over one element type."""
-    key = (_ListEntry, elem)
-    if key not in _containers:
-        tag = TypeTag(f"List({elem.name})")
-        tag._entry = _ListEntry(tag, elem)
-        _containers[key] = tag
-    return _containers[key]
+    return _container(_ListEntry, f"List({elem.name})", elem)
 
 
 def pair_of(first: TypeTag, second: TypeTag) -> TypeTag:
     """The datatype of two-tuples over two element types."""
-    key = (_PairEntry, first, second)
-    if key not in _containers:
-        tag = TypeTag(f"Pair({first.name},{second.name})")
-        tag._entry = _PairEntry(tag, first, second)
-        _containers[key] = tag
-    return _containers[key]
+    return _container(_PairEntry, f"Pair({first.name},{second.name})", first, second)
 
 
 def optional_of(elem: TypeTag) -> TypeTag:
     """The datatype of an optional value: None or an element."""
-    key = (_OptionalEntry, elem)
-    if key not in _containers:
-        tag = TypeTag(f"Opt({elem.name})")
-        tag._entry = _OptionalEntry(tag, elem)
-        _containers[key] = tag
-    return _containers[key]
+    return _container(_OptionalEntry, f"Opt({elem.name})", elem)
 
 
 def term(value, tag: TypeTag | None = None) -> Term:
@@ -457,21 +454,28 @@ def same_term(a: Term, b: Term) -> bool:
         if a.tag is not b.tag:
             return False
         entry = _entry(a.tag)
-        if not entry.same_head(a, b):
+        if entry.head(a) != entry.head(b):
             return False
         if entry.field_types:
             pending.extend(zip(reversed(entry.children(a)), reversed(entry.children(b))))
     return True
 
 
-def validate_term(t: Term) -> None:
-    """Walk a term and check every level against its datatype."""
+def _preorder(t: Term):
+    # Subterms parents first, left to right, on an explicit stack; a
+    # subterm's children are taken only after the caller has seen it.
     pending = [t]
     while pending:
         t = pending.pop()
-        if not _entry(t.tag).check(t):
-            raise TypeError(f"{t.value!r} is not a value of datatype {t.tag.name}")
+        yield t
         pending.extend(reversed(children(t)))
+
+
+def validate_term(t: Term) -> None:
+    """Walk a term and check every level against its datatype."""
+    for sub in _preorder(t):
+        if not _entry(sub.tag).check(sub):
+            raise TypeError(f"{sub.value!r} is not a value of datatype {sub.tag.name}")
 
 
 class Registry:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -163,7 +165,7 @@ def test_binder_does_not_leak_sideways():
 
 def test_select_focus():
     assert select_focus(load("focus.ml0")) == App(App(Var("add"), Var("x")), LitInt(1))
-    with pytest.raises(NoFocus):
+    with pytest.raises(NoFocus, match="^module has no expression focus$"):
         select_focus(load("data.ml0"))
     with pytest.raises(NoFocus):
         select_focus(load("tyfocus.ml0"))
@@ -171,7 +173,7 @@ def test_select_focus():
 
 def test_select_type_focus():
     assert select_type_focus(load("tyfocus.ml0")) == TyCon("L")
-    with pytest.raises(NoFocus):
+    with pytest.raises(NoFocus, match="^module has no type focus$"):
         select_type_focus(load("data.ml0"))
     with pytest.raises(NoFocus):
         select_type_focus(load("focus.ml0"))
@@ -292,6 +294,25 @@ def test_next_and_set_code_compose_into_encode():
     assert get_code(stored, t) == Just(1)
     assert get_code(stored, to_term(Var("w"), EXPR)) is NOTHING
     assert isinstance(stored, Coder)
+
+
+def test_encode_has_no_ceiling_at_the_default_limit():
+    # One lookup per call, however many codes: no stack grows with the coder.
+    assert sys.getrecursionlimit() == 1000
+    assert threading.current_thread() is threading.main_thread()
+    decls = [
+        to_term(FunBind(f"f{i}", (PVar("x"),), App(Var("x"), LitInt(i))), DECL)
+        for i in range(2000)
+    ]
+    coder, codes = no_codes(), []
+    for t in decls:
+        code, coder = encode(coder, t)
+        codes.append(code)
+    assert codes == list(range(1, 2001))
+    for i, t in enumerate(decls[:50]):
+        code, after = encode(coder, t)
+        assert code == i + 1 and after is coder
+    assert get_code(coder, to_term(FunBind("unseen", (), LitInt(0)), DECL)) is NOTHING
 
 
 # Counting by datatype.

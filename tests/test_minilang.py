@@ -231,6 +231,7 @@ def test_keyword_cannot_open_a_binding():
 def test_second_expression_focus_rejected():
     e = _err("module M where\nf = << a >>\ng = << b >>\n")
     assert isinstance(e, MultipleFociError)
+    assert e.message == "more than one expression focus"
     assert (e.line, e.col) == (3, 5)
 
 
@@ -242,6 +243,8 @@ def test_nested_expression_foci_rejected():
 def test_second_type_focus_rejected():
     e = _err("module M where\ntype A = << X >>\ntype B = << Y >>\n")
     assert isinstance(e, MultipleFociError)
+    assert e.message == "more than one type focus"
+    assert (e.line, e.col) == (3, 10)
 
 
 def test_one_focus_of_each_kind_is_allowed():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -9,6 +10,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from gen_terms import modules
+from strategem.minilang import to_term
 from strategem.effects import IDENTITY, INT_SUM, NOTHING, PARTIAL, Just
 from strategem.strategies import adhoc_tp, adhoc_tu, apply, build_tu, fail_tp, identity_tp
 from strategem.terms import (
@@ -240,6 +243,47 @@ def test_walking_a_list_gives_its_slices(t):
         assert constructor(t).name == ("Cons" if i < len(v) else "Nil")
         assert t.value == v[i:]
     assert i == len(v)
+
+
+# Structural hashing: equal terms hash alike, whatever form their lists take.
+
+
+def other_sequence_form(t):
+    """The same term with its top-level sequence held as the other kind."""
+    v = t.value
+    if isinstance(v, (list, tuple)):
+        return Term(tuple(v) if isinstance(v, list) else list(v), t.tag)
+    return Term(dataclasses.replace(v, decls=list(v.decls)), t.tag)
+
+
+def subterms(t):
+    yield t
+    for kid in children(t):
+        yield from subterms(kid)
+
+
+# Returns every atom as a new term, so each list on the way up is rebuilt as a _Cons chain.
+REBUILD_ATOMS = adhoc_tp(adhoc_tp(identity_tp(IDENTITY), INT, IDENTITY.pure), STR, IDENTITY.pure)
+
+
+@given(st.one_of(list_terms(), modules.map(to_term)))
+def test_equal_terms_hash_alike(t):
+    flipped = other_sequence_form(t)
+    rebuilt = apply(topdown(REBUILD_ATOMS), t)
+    for other in (flipped, rebuilt):
+        assert other == t and hash(other) == hash(t)
+    assert len({t, flipped, rebuilt}) == 1
+    for sub in subterms(t):
+        if constructor(sub).name == "Cons":
+            tail = children(sub)[1]
+            h = hash(tail)
+            plain = Term(tail.value, tail.tag)
+            assert tail == plain and h == hash(plain)
+
+
+def test_atoms_of_different_datatypes_stay_apart():
+    assert term(1) != term(True)
+    assert len({term(1), term(True), term(1)}) == 2
 
 
 # Nodes and the fundamental laws.
