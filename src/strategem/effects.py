@@ -30,7 +30,6 @@ __all__ = [
     "Just",
     "NOTHING",
     "is_just",
-    "from_just",
     "EffectContext",
     "Identity",
     "Partial",
@@ -77,10 +76,6 @@ NOTHING = _Nothing()
 
 def is_just(m) -> bool:
     return isinstance(m, Just)
-
-
-def from_just(m, default=None):
-    return m.value if isinstance(m, Just) else default
 
 
 class EffectContext:

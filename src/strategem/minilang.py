@@ -27,16 +27,21 @@ focus and at most one type focus, checked at parse time.  Application and
 type application associate left, function arrows associate right.
 
 `parse` and `pretty` round-trip: parsing the pretty form of a module gives
-the module back.  The abstract syntax is registered for generic traversal
-at import time; `to_term` wraps any syntax value, and the tags MODULE,
-DECL, TYPE, EXPR and PATTERN name the five datatypes.  Source files use
-the .ml0 extension.
+the module back.  `pretty` renders any syntax fragment: a module, a
+declaration, a type, an expression or a pattern.  Neither `parse` nor
+`pretty` recurses, so they have no depth limit.  The dataclass `==`,
+`repr` and `hash` do recurse on deep values; compare those as terms.
+
+The abstract syntax is registered for generic traversal at import time;
+`to_term` wraps any syntax value, and the tags MODULE, DECL, TYPE, EXPR
+and PATTERN name the five datatypes.  Source files use the .ml0 extension.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, TypeAlias
 
 from .terms import Registry, Term
@@ -264,8 +269,29 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-_ATYPE_START = frozenset({"CONID", "VARID", "(", "<<"})
-_AEXPR_START = _ATYPE_START | {"INT", "STRING"}
+class _Syntax:
+    """What types and expressions differ in, for `_Parser.phrase`."""
+
+    def __init__(self, what, expected, leaves, app, focus, arrow):
+        self.what = what  # names the syntax class in messages and in the focus count
+        self.expected = expected  # the message for a token that cannot start one
+        self.leaves = leaves  # token kind -> the leaf made from the token text
+        self.starts = {"(", "<<", *leaves}  # the kinds of the tokens that open an atom
+        self.app, self.focus = app, focus
+        # True for types, where "->" may follow a spine; an expression instead
+        # may open with let or a lambda.
+        self.arrow = arrow
+
+
+_TYPE = _Syntax("type", "expected a type", {"CONID": TyCon, "VARID": TyVar}, TyApp, TyFocus, True)
+_EXPR = _Syntax(
+    "expression",
+    "expected an expression",
+    {"VARID": Var, "CONID": Con, "INT": lambda text: LitInt(int(text)), "STRING": LitStr},
+    App,
+    Focus,
+    False,
+)
 
 
 class _Parser:
@@ -306,132 +332,117 @@ class _Parser:
         name = self.expect("CONID").text
         self.expect("where")
         decls = []
-        while True:
-            if self.at("EOF"):
-                break
+        while not self.at("EOF"):
             if not self.at("NEWLINE"):
                 self.fail("expected end of line")
             self.skip_newlines()
-            if self.at("EOF"):
-                break
-            decls.append(self.decl())
+            if not self.at("EOF"):
+                decls.append(self.decl())
         return Module(name, tuple(decls))
 
     def decl(self) -> Decl:
-        if self.at("data"):
-            self.advance()
+        if self.at("data") or self.at("type"):
+            keyword = self.advance().kind
             name = self.expect("CONID").text
             self.expect("=")
+            if keyword == "type":
+                return TypeSyn(name, self.phrase(_TYPE))
             cons = [self.con()]
             while self.at("|"):
                 self.advance()
                 cons.append(self.con())
             return DataDecl(name, tuple(cons))
-        if self.at("type"):
-            self.advance()
-            name = self.expect("CONID").text
-            self.expect("=")
-            return TypeSyn(name, self.type())
         if self.at("VARID"):
             name = self.advance().text
             params = []
             while not self.at("="):
                 params.append(self.pat())
             self.expect("=")
-            return FunBind(name, tuple(params), self.expr())
+            return FunBind(name, tuple(params), self.phrase(_EXPR))
         self.fail("expected a declaration")
 
     def con(self):
         name = self.expect("CONID").text
         fields = []
-        while self.peek().kind in _ATYPE_START:
-            fields.append(self.atype())
+        while self.peek().kind in _TYPE.starts:
+            fields.append(self.phrase(_TYPE, atom=True))
         return (name, tuple(fields))
 
-    def type(self) -> Type:
-        left = self.btype()
-        if self.at("->"):
-            self.advance()
-            return TyFun(left, self.type())
-        return left
+    def phrase(self, syntax: _Syntax, atom=False):
+        """Read a type or an expression, or with `atom` one atom, on an explicit stack.
 
-    def btype(self) -> Type:
-        ty = self.atype()
-        while self.peek().kind in _ATYPE_START:
-            ty = TyApp(ty, self.atype())
-        return ty
-
-    def atype(self) -> Type:
-        if self.at("CONID"):
-            return TyCon(self.advance().text)
-        if self.at("VARID"):
-            return TyVar(self.advance().text)
-        if self.at("("):
-            self.advance()
-            ty = self.type()
-            self.expect(")")
-            return ty
-        if self.at("<<"):
-            return self.focus("type", self.type, TyFocus)
-        self.fail("expected a type")
-
-    def expr(self) -> Expr:
-        if self.at("let"):
-            self.advance()
-            name = self.expect("VARID").text
-            self.expect("=")
-            bound = self.expr()
-            self.expect("in")
-            return Let(name, bound, self.expr())
-        if self.at("\\"):
-            self.advance()
-            param = self.pat()
-            self.expect("->")
-            return Lam(param, self.expr())
-        e = self.aexpr()
-        while self.peek().kind in _AEXPR_START:
-            e = App(e, self.aexpr())
-        return e
-
-    def aexpr(self) -> Expr:
-        if self.at("VARID"):
-            return Var(self.advance().text)
-        if self.at("CONID"):
-            return Con(self.advance().text)
-        if self.at("INT"):
-            return LitInt(int(self.advance().text))
-        if self.at("STRING"):
-            return LitStr(self.advance().text)
-        if self.at("("):
-            self.advance()
-            e = self.expr()
-            self.expect(")")
-            return e
-        if self.at("<<"):
-            return self.focus("expression", self.expr, Focus)
-        self.fail("expected an expression")
-
-    def focus(self, what, inner, make):
-        tok = self.advance()
-        self.foci[what] += 1
-        if self.foci[what] > 1:
-            raise MultipleFociError(f"more than one {what} focus", tok.line, tok.col)
-        node = inner()
-        self.expect(">>")
-        return make(node)
+        Each frame is a (form, part) pair, innermost last: "end" or "atom" at
+        the bottom; ")", or ">>" with the focus class; "in" with a let's name;
+        "app" with the spine so far; "wrap" with the constructor that takes
+        the whole phrase read next (a let or lambda body, an arrow's result).
+        """
+        starts = syntax.starts
+        stack = [("atom" if atom else "end", None)]
+        while True:
+            tok = self.advance()
+            if tok.kind in syntax.leaves:
+                node = syntax.leaves[tok.kind](tok.text)
+            else:
+                if tok.kind == "(":
+                    stack.append((")", None))
+                elif tok.kind == "<<":
+                    self.foci[syntax.what] += 1
+                    if self.foci[syntax.what] > 1:
+                        message = f"more than one {syntax.what} focus"
+                        raise MultipleFociError(message, tok.line, tok.col)
+                    stack.append((">>", syntax.focus))
+                elif tok.kind == "let" and not syntax.arrow:
+                    stack.append(("in", self.expect("VARID").text))
+                    self.expect("=")
+                elif tok.kind == "\\" and not syntax.arrow:
+                    stack.append(("wrap", partial(Lam, self.pat())))
+                    self.expect("->")
+                else:
+                    raise ParseError(syntax.expected, tok.line, tok.col)
+                continue
+            while True:  # `node` is an atom: extend the spine, then close what it ends
+                if stack[-1][0] == "app":
+                    node = syntax.app(stack.pop()[1], node)
+                form, part = stack[-1]
+                if form == "atom":
+                    return node
+                if self.peek().kind in starts:
+                    stack.append(("app", node))
+                    break
+                if syntax.arrow and self.at("->"):
+                    self.advance()
+                    stack.append(("wrap", partial(TyFun, node)))
+                    break
+                while form == "wrap":  # `node` is a whole phrase
+                    node = stack.pop()[1](node)
+                    form, part = stack[-1]
+                if form == "end":
+                    return node
+                self.expect(form)
+                stack.pop()
+                if form == "in":
+                    stack.append(("wrap", partial(Let, part, node)))
+                    break
+                if part:
+                    node = part(node)
 
     def pat(self) -> Pattern:
-        if self.at("VARID"):
-            return PVar(self.advance().text)
-        if self.at("("):
-            self.advance()
-            name = self.expect("CONID").text
-            args = []
-            while not self.at(")"):
-                args.append(self.pat())
-            self.advance()
-            return PCon(name, tuple(args))
-        self.fail("expected a pattern")
+        """Read a pattern; `stack` holds each open constructor pattern's name and arguments."""
+        stack = [(None, [])]
+        while True:
+            tok = self.advance()
+            if tok.kind == "VARID":
+                stack[-1][1].append(PVar(tok.text))
+            elif tok.kind == "(":
+                stack.append((self.expect("CONID").text, []))
+            else:
+                raise ParseError("expected a pattern", tok.line, tok.col)
+            while len(stack) > 1 and self.at(")"):
+                self.advance()
+                name, args = stack.pop()
+                stack[-1][1].append(PCon(name, tuple(args)))
+            if len(stack) == 1:
+                return stack[0][1][0]
 
 
 def parse(source: str) -> Module:
@@ -442,77 +453,62 @@ def parse(source: str) -> Module:
     return module
 
 
-def _type_atom(ty: Type) -> str:
-    if isinstance(ty, (TyCon, TyVar)):
-        return ty.name
-    if isinstance(ty, TyFocus):
-        return f"<< {pretty_type(ty.inner)} >>"
-    return f"({pretty_type(ty)})"
+# Precedence places: a node whose own place is below the place its parent
+# gives it is parenthesised.  Declarations never are.
+_ARROW, _APP, _ATOM = 0, 1, 2
 
 
-def _type_app(ty: Type) -> str:
-    if isinstance(ty, TyApp):
-        return f"{_type_app(ty.fn)} {_type_atom(ty.arg)}"
-    return _type_atom(ty)
+def _each(sep, nodes) -> list:
+    """The parts of `nodes` at atom place, each after `sep`."""
+    return [part for node in nodes for part in (sep, (node, _ATOM))]
 
 
-def pretty_type(ty: Type) -> str:
-    if isinstance(ty, TyFun):
-        return f"{_type_app(ty.arg)} -> {pretty_type(ty.result)}"
-    return _type_app(ty)
+# Node class -> (its place, its parts: text, or a (child, place) pair).
+_LAYOUT = {
+    Module: (_ATOM, lambda m: ["module ", m.name, " where", *_each("\n", m.decls), "\n"]),
+    DataDecl: (_ATOM, lambda d: ["data ", d.name, " = ", *_each(" | ", d.constructors)[1:]]),
+    tuple: (_ATOM, lambda con: [con[0], *_each(" ", con[1])]),  # a data constructor
+    TypeSyn: (_ATOM, lambda d: ["type ", d.name, " = ", (d.rhs, _ARROW)]),
+    FunBind: (_ATOM, lambda d: [d.name, *_each(" ", d.params), " = ", (d.body, _ARROW)]),
+    TyCon: (_ATOM, lambda t: [t.name]),
+    TyVar: (_ATOM, lambda t: [t.name]),
+    TyApp: (_APP, lambda t: [(t.fn, _APP), " ", (t.arg, _ATOM)]),
+    TyFun: (_ARROW, lambda t: [(t.arg, _APP), " -> ", (t.result, _ARROW)]),
+    TyFocus: (_ATOM, lambda t: ["<< ", (t.inner, _ARROW), " >>"]),
+    PVar: (_ATOM, lambda p: [p.name]),
+    PCon: (_ATOM, lambda p: ["(", p.name, *_each(" ", p.args), ")"]),
+    Var: (_ATOM, lambda e: [e.name]),
+    Con: (_ATOM, lambda e: [e.name]),
+    LitInt: (_ATOM, lambda e: [str(e.value)]),
+    LitStr: (_ATOM, lambda e: [f'"{e.value}"']),
+    App: (_APP, lambda e: [(e.fn, _APP), " ", (e.arg, _ATOM)]),
+    Lam: (_ARROW, lambda e: ["\\", (e.param, _ATOM), " -> ", (e.body, _ARROW)]),
+    Let: (_ARROW, lambda e: ["let ", e.name, " = ", (e.bound, _ARROW), " in ", (e.body, _ARROW)]),
+    Focus: (_ATOM, lambda e: ["<< ", (e.inner, _ARROW), " >>"]),
+}
 
 
-def _pat(p: Pattern) -> str:
-    if isinstance(p, PVar):
-        return p.name
-    inside = " ".join([p.name] + [_pat(a) for a in p.args])
-    return f"({inside})"
+def pretty(node) -> str:
+    """Render any syntax value: a module, declaration, type, expression or pattern.
+
+    Parsing the rendering of a module gives the module back.  `pending` holds
+    the parts still to write, the next one last.
+    """
+    out = []
+    pending = [(node, _ARROW)]
+    while pending:
+        part = pending.pop()
+        if isinstance(part, str):
+            out.append(part)
+            continue
+        node, place = part
+        own, layout = _LAYOUT[type(node)]
+        parts = layout(node) if own >= place else ["(", *layout(node), ")"]
+        pending += reversed(parts)
+    return "".join(out)
 
 
-def _expr_atom(e: Expr) -> str:
-    if isinstance(e, (Var, Con)):
-        return e.name
-    if isinstance(e, LitInt):
-        return str(e.value)
-    if isinstance(e, LitStr):
-        return f'"{e.value}"'
-    if isinstance(e, Focus):
-        return f"<< {pretty_expr(e.inner)} >>"
-    return f"({pretty_expr(e)})"
-
-
-def _expr_app(e: Expr) -> str:
-    if isinstance(e, App):
-        return f"{_expr_app(e.fn)} {_expr_atom(e.arg)}"
-    return _expr_atom(e)
-
-
-def pretty_expr(e: Expr) -> str:
-    if isinstance(e, Let):
-        return f"let {e.name} = {pretty_expr(e.bound)} in {pretty_expr(e.body)}"
-    if isinstance(e, Lam):
-        return f"\\{_pat(e.param)} -> {pretty_expr(e.body)}"
-    return _expr_app(e)
-
-
-def _decl(d: Decl) -> str:
-    if isinstance(d, DataDecl):
-        cons = " | ".join(
-            " ".join([name] + [_type_atom(f) for f in fields])
-            for name, fields in d.constructors
-        )
-        return f"data {d.name} = {cons}"
-    if isinstance(d, TypeSyn):
-        return f"type {d.name} = {pretty_type(d.rhs)}"
-    parts = [d.name] + [_pat(p) for p in d.params]
-    return f"{' '.join(parts)} = {pretty_expr(d.body)}"
-
-
-def pretty(module: Module) -> str:
-    """Render a module; parsing the result gives the module back."""
-    lines = [f"module {module.name} where"]
-    lines.extend(_decl(d) for d in module.decls)
-    return "\n".join(lines) + "\n"
+pretty_type = pretty_expr = pretty
 
 
 REGISTRY = Registry()

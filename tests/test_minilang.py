@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,7 @@ from strategem.minilang import (
     pretty_type,
     to_term,
 )
-from strategem.terms import INT, RegistryFrozen
+from strategem.terms import INT, RegistryFrozen, validate_term
 
 CORPUS = Path(__file__).parent / "corpus"
 ALL_SOURCES = sorted(CORPUS.glob("*.ml0")) + sorted((CORPUS / "toalias").glob("*.ml0"))
@@ -71,6 +72,32 @@ def test_round_trip_preserves_foci():
     assert any(
         isinstance(d, FunBind) and isinstance(d.body, Focus) for d in m.decls
     )
+
+
+DEEP = 10_000
+DEEP_SHAPES = {
+    "parenthesised expression": "f = " + "(" * DEEP + "x" + ")" * DEEP,
+    "parenthesised type": "type T = " + "(" * DEEP + "A" + ")" * DEEP,
+    "arrows": "type T = " + "A -> " * DEEP + "A",
+    "right-nested application": "f = " + "g (" * DEEP + "x" + ")" * DEEP,
+    "let chain": "f = " + "let x = 1 in " * DEEP + "x",
+    "let in its own bound": "f = " + "let x = " * DEEP + "1" + " in x" * DEEP,
+    "lambda chain": "f = " + "\\x -> " * DEEP + "x",
+    "constructor patterns": "f " + "(C " * DEEP + "x" + ")" * DEEP + " = x",
+    "application spine": "f = g" + " x" * DEEP,
+}
+
+
+@pytest.mark.parametrize("decl", DEEP_SHAPES.values(), ids=DEEP_SHAPES.keys())
+def test_deep_syntax_at_the_default_limit(decl):
+    # In the main thread at the default limit: parse and pretty must not
+    # recurse.  Results are compared as text, since the dataclass `==` and
+    # `repr` recurse on deep values.
+    assert sys.getrecursionlimit() == 1000
+    m = parse(f"module M where\n{decl}\n")
+    text = pretty(m)
+    assert pretty(parse(text)) == text
+    validate_term(to_term(m))
 
 
 # Exact parses.
@@ -218,6 +245,27 @@ def test_trailing_garbage_rejected():
     _err("module M where\nf = (1\n")
 
 
+@pytest.mark.parametrize(
+    "decl, message, col",
+    [
+        ("f = (1", "expected ')', got '\\n'", 7),
+        ("f = << 1", "expected '>>', got '\\n'", 9),
+        ("type T = (A", "expected ')', got '\\n'", 12),
+        ("type T = << A", "expected '>>', got '\\n'", 14),
+        ("f = let x = 1 y", "expected 'in', got '\\n'", 16),
+        ("f = \\x y", "expected '->', got 'y'", 8),
+        ("type T =", "expected a type", 9),
+        ("type T = A ->", "expected a type", 14),
+        ("f = )", "expected an expression", 5),
+        ("f (x) = x", "expected 'CONID', got 'x'", 4),
+        ("f (C (D x) = x", "expected a pattern", 12),
+    ],
+)
+def test_error_messages_and_positions(decl, message, col):
+    e = _err(f"module M where\n{decl}\n")
+    assert (e.message, e.line, e.col) == (message, 2, col)
+
+
 def test_missing_expression():
     e = _err("module M where\nf =\n")
     assert e.message == "expected an expression"
@@ -268,14 +316,37 @@ def test_pretty_module_layout():
             DataDecl("L", (("Nil", ()), ("Cons", (TyCon("Int"), TyCon("L"))))),
             TypeSyn("F", TyFun(TyCon("Int"), TyCon("Int"))),
             FunBind("f", (PVar("x"),), App(App(Var("add"), Var("x")), LitInt(1))),
+            DataDecl(
+                "D",
+                (
+                    ("C", (TyApp(TyCon("L"), TyVar("a")), TyFun(TyCon("A"), TyVar("b")))),
+                    ("E", (TyFocus(TyApp(TyCon("L"), TyVar("a"))),)),
+                ),
+            ),
+            FunBind(
+                "g", (PCon("C", ()), PCon("P", (PCon("Q", (PVar("x"),)), PVar("y")))), Var("y")
+            ),
         ),
     )
-    assert pretty(m) == (
+    text = (
         "module M where\n"
         "data L = Nil | Cons Int L\n"
         "type F = Int -> Int\n"
         "f x = add x 1\n"
+        "data D = C (L a) (A -> b) | E << L a >>\n"
+        "g (C) (P (Q x) y) = y\n"
     )
+    assert pretty(m) == text
+    assert parse(text) == m
+    assert pretty(Module("E", ())) == "module E where\n"
+
+
+def test_pretty_renders_any_fragment():
+    assert pretty(DataDecl("D", (("C", (TyApp(TyCon("L"), TyVar("a")),)),))) == "data D = C (L a)"
+    assert pretty(FunBind("f", (PVar("x"),), Var("x"))) == "f x = x"
+    assert pretty(PCon("P", (PCon("Q", ()), PVar("y")))) == "(P (Q) y)"
+    assert pretty(TyFun(TyCon("A"), TyCon("B"))) == "A -> B"
+    assert pretty_type is pretty_expr is pretty
 
 
 def test_pretty_expr_precedence():
@@ -286,6 +357,10 @@ def test_pretty_expr_precedence():
     assert pretty_expr(Lam(PCon("Pair", (PVar("a"), PVar("b"))), Var("a"))) == "\\(Pair a b) -> a"
     assert pretty_expr(Focus(App(Var("f"), LitInt(1)))) == "<< f 1 >>"
     assert pretty_expr(LitStr("hi")) == '"hi"'
+    assert pretty_expr(App(Var("f"), Lam(PVar("x"), Var("x")))) == "f (\\x -> x)"
+    assert pretty_expr(App(Let("x", LitInt(1), Var("x")), Var("v"))) == "(let x = 1 in x) v"
+    assert pretty_expr(App(Var("f"), Focus(App(Var("g"), Var("x"))))) == "f << g x >>"
+    assert pretty_expr(Lam(PCon("C", ()), Var("x"))) == "\\(C) -> x"
 
 
 def test_pretty_type_precedence():
