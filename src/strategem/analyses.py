@@ -138,12 +138,14 @@ def is_fresh_type(name: str, module: Module) -> bool:
 
 
 def _pattern_vars(p) -> frozenset:
-    if isinstance(p, PVar):
-        return frozenset({p.name})
-    out = frozenset()
-    for arg in p.args:
-        out |= _pattern_vars(arg)
-    return out
+    names, pending = set(), [p]
+    while pending:
+        p = pending.pop()
+        if isinstance(p, PVar):
+            names.add(p.name)
+        else:
+            pending.extend(p.args)
+    return frozenset(names)
 
 
 def _expr_decs(e):
@@ -221,7 +223,7 @@ def to_alias(name: str, module: Module) -> Module:
     rhs = apply(lookup, to_term(module))
     if not is_just(rhs):
         raise NoSuchAlias(f"no type synonym named {name}")
-    if focused != rhs.value:
+    if to_term(focused) != to_term(rhs.value):
         raise GuardFailed(f"focused type is not the right-hand side of {name}")
 
     def fold(ty):

@@ -17,7 +17,9 @@ Computations are ordinary values: the value itself for IDENTITY, a Just or
 NOTHING for PARTIAL, and a function from state to an inner computation of a
 (value, state) pair for StateOver.  An IDENTITY or PARTIAL computation is
 its own result; `run_state` runs a StateOver computation from an initial
-state.
+state.  Strategies run in Identity, Partial and StateOver over those,
+nested too: their loop reads computations in exactly these forms, so
+applying a strategy in a context of any other class is a TypeError.
 """
 
 from __future__ import annotations

@@ -22,14 +22,27 @@ The basic vocabulary:
   msubst_tp, msubst_tu      move a strategy along an effect morphism
 
 `all` and `one` are each one primitive read at both kinds.  `all` is a
-one-layer fold over the immediate subterms: `all_tp` starts from no
-children, collects the new ones and rebuilds the outermost constructor
-only if a child changed; `all_tu` starts from the monoid's neutral element
-and appends child results left to right.  `one` is a one-layer search that
-commits to the leftmost child the strategy succeeds on: `one_tp` rebuilds
-around the new child, `one_tu` returns its result.  `one` fails on terms
-without children.  Strategies are opaque values: treat `apply` as the only
-way to use one.
+one-layer fold over the immediate subterms: `all_tp` collects the new
+children and rebuilds the outermost constructor only if a child changed;
+`all_tu` starts from the monoid's neutral element and appends child
+results left to right.  `one` is a one-layer search that commits to the
+leftmost child the strategy succeeds on: `one_tp` rebuilds around the new
+child, `one_tu` returns its result.  `one` fails on terms without
+children.
+
+Strategies are data run by one loop.  Every combinator builds a small
+node, held in the `run` field of its TP or TU, and `_loop` interprets the
+nodes with an explicit stack of pending frames, so no traversal recurses
+on the Python stack however deep or long its term.  Failure is a sentinel
+passed back up the stack; the states of a state context are a register
+tuple, which `choice` and `one` save and restore when a branch fails.  A
+`TP(ctx, fn)` or `TU(ctx, fn)` made from a function is a step: the loop
+calls it and unpacks the computation it returns.  A node is callable, so
+`s.run(t)` is `apply(s, t)`.
+
+In a state context `apply` returns a computation that runs nothing until
+it is given a state.  `msubst` runs its strategy in a nested loop, so a
+recursion through `msubst` is bounded by the Python stack again.
 """
 
 from __future__ import annotations
@@ -38,7 +51,17 @@ from dataclasses import dataclass
 from operator import is_not
 from typing import Any, Callable
 
-from .effects import EffectContext, EffectMorphism, Monoid, supports_failure
+from .effects import (
+    NOTHING,
+    EffectContext,
+    EffectMorphism,
+    Identity,
+    Just,
+    Monoid,
+    Partial,
+    StateOver,
+    supports_failure,
+)
 from .terms import Term, TypeTag, children, rebuild, term
 
 __all__ = [
@@ -93,17 +116,253 @@ def apply(s: Strategy, t: Term):
     """Apply a strategy to a term, yielding a computation in its context."""
     if not isinstance(t, Term):
         raise TypeError(f"strategies apply to terms, got {t!r}")
-    return s.run(t)
+    return _run(s.context, s.run, t)
+
+
+# The loop's failure, passed back up its stack in place of a value.
+_FAIL = object()
+# The value of a `_Const` that stands for the term it is applied to.
+_TERM = object()
+
+
+class _Node:
+    """A strategy as data, run by `_loop`; the node's fields are its parts."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __call__(self, t):
+        return _run(self.ctx, self, t)
+
+
+class _Const(_Node):
+    __slots__ = ("value",)  # _TERM for identity_tp
+
+    def __init__(self, ctx, value):
+        self.ctx, self.value = ctx, value
+
+
+class _Fail(_Node):
+    __slots__ = ()
+
+
+class _Adhoc(_Node):
+    __slots__ = ("default", "tag", "step", "tp")  # tp: wrap the value as a term
+
+    def __init__(self, ctx, default, tag, step, tp):
+        self.ctx, self.default, self.tag, self.step, self.tp = ctx, default, tag, step, tp
+
+
+class _Seq(_Node):
+    # `append` is None when `second` runs on the output of `first`, and
+    # otherwise a monoid's append of two analyses of the same term.
+    __slots__ = ("first", "second", "append")
+
+    def __init__(self, ctx, first, second, append):
+        self.ctx, self.first, self.second, self.append = ctx, first, second, append
+
+
+class _Let(_Node):
+    __slots__ = ("analysis", "body")
+
+    def __init__(self, ctx, analysis, body):
+        self.ctx, self.analysis, self.body = ctx, analysis, body
+
+
+class _Choice(_Node):
+    __slots__ = ("first", "second")
+
+    def __init__(self, ctx, first, second):
+        self.ctx, self.first, self.second = ctx, first, second
+
+
+class _All(_Node):
+    __slots__ = ("s", "append", "neutral")  # append: None for TP, else the monoid's
+
+    def __init__(self, ctx, s, append, neutral):
+        self.ctx, self.s, self.append, self.neutral = ctx, s, append, neutral
+
+
+class _One(_Node):
+    __slots__ = ("s", "tp")
+
+    def __init__(self, ctx, s, tp):
+        self.ctx, self.s, self.tp = ctx, s, tp
+
+
+class _MSubst(_Node):
+    __slots__ = ("morphism", "s")
+
+    def __init__(self, ctx, morphism, s):
+        self.ctx, self.morphism, self.s = ctx, morphism, s
+
+
+class _Ref(_Node):
+    __slots__ = ("body",)  # set once the strategy that refers to it exists
+
+
+# The frame kind of a result waiting for the next one to append to it.
+_APPEND = object()
+
+
+def _loop(node, t, regs, unpack):
+    """Run `node` at `t` from the state register `regs`.
+
+    Returns the value, or _FAIL, and the register after it.  `unpack`
+    reads a step's computation against the register.  Frames pending a
+    value: (_Seq, node, t) and (_APPEND, append, first result); (_Let,
+    body, t); (_Choice, second, t, regs) and [_One, node, t, kids, i,
+    regs], which take over on failure; [_All, node, t, kids, i, results].
+    """
+    stack = []
+    push, pop = stack.append, stack.pop
+    while True:
+        # Descend: evaluate `node` at `t` until it gives a value `v`.
+        while True:
+            kind = type(node)
+            if kind is _Ref:
+                node = node.body
+            elif kind is _Seq:
+                push((_Seq, node, t))
+                node = node.first
+            elif kind is _Adhoc:
+                if t.tag is node.tag:
+                    v, regs = unpack(node.step(t.value), regs)
+                    if node.tp and v is not _FAIL:
+                        v = term(v, node.tag)
+                    break
+                node = node.default
+            elif kind is _Const:
+                v = t if node.value is _TERM else node.value
+                break
+            elif kind is _All:
+                kids = children(t)
+                if not kids:
+                    v = t if node.append is None else node.neutral
+                    break
+                push([_All, node, t, kids, 0, [] if node.append is None else node.neutral])
+                node, t = node.s, kids[0]
+            elif kind is _Choice:
+                push((_Choice, node.second, t, regs))
+                node = node.first
+            elif kind is _One:
+                kids = children(t)
+                if not kids:
+                    v = _FAIL
+                    break
+                push([_One, node, t, kids, 0, regs])
+                node, t = node.s, kids[0]
+            elif kind is _Fail:
+                v = _FAIL
+                break
+            elif kind is _Let:
+                push((_Let, node.body, t))
+                node = node.analysis
+            elif kind is _MSubst:
+                v, regs = unpack(node.morphism.run(node.s(t)), regs)
+                break
+            else:
+                v, regs = unpack(node(t), regs)
+                break
+        # Ascend: hand `v` to pending frames until one descends again.
+        while stack:
+            frame = pop()
+            kind = frame[0]
+            if v is _FAIL:
+                if kind is _Choice:
+                    _, node, t, regs = frame
+                    break
+                if kind is _One:
+                    kids, i = frame[3], frame[4] + 1
+                    if i < len(kids):
+                        frame[4] = i
+                        push(frame)
+                        node, t, regs = frame[1].s, kids[i], frame[5]
+                        break
+            elif kind is _All:
+                node = frame[1]
+                if node.append is None:
+                    frame[5].append(v)
+                else:
+                    frame[5] = node.append(frame[5], v)
+                kids, i = frame[3], frame[4] + 1
+                if i < len(kids):
+                    frame[4] = i
+                    push(frame)
+                    node, t = node.s, kids[i]
+                    break
+                v, t = frame[5], frame[2]
+                if node.append is None:
+                    v = rebuild(t, v) if any(map(is_not, v, kids)) else t
+            elif kind is _Seq:
+                node, t = frame[1], frame[2]
+                if node.append is None:
+                    node, t = node.second, v
+                else:
+                    push((_APPEND, node.append, v))
+                    node = node.second
+                break
+            elif kind is _APPEND:
+                v = frame[1](frame[2], v)
+            elif kind is _Let:
+                node, t = frame[1](v).run, frame[2]
+                break
+            elif kind is _One and frame[1].tp:
+                kids, i = frame[3], frame[4]
+                v = rebuild(frame[2], kids[:i] + (v,) + kids[i + 1 :])
+            # A _Choice frame, or a TU _One frame, passes a success on.
+        else:
+            return v, regs
+
+
+def _run(ctx, node, t, unpack=None, regs=()):
+    # The computation of `ctx` that runs `node` (a node or a step) at `t`.
+    # A StateOver layer takes its state before anything runs; the loop's
+    # result is then packed as the inner contexts' pure value would be.
+    unpack = unpack or _unpacker(ctx)
+    if type(ctx) is StateOver:
+        return lambda s: _run(ctx.inner, node, t, unpack, regs + (s,))
+    v, regs = _loop(node, t, regs, unpack)
+    if v is _FAIL:
+        return NOTHING
+    for s in regs:
+        v = (v, s)
+    return Just(v) if type(ctx) is Partial else v
+
+
+def _unpacker(ctx):
+    """How the loop reads a computation of `ctx`: (comp, regs) -> (value, regs).
+
+    The value is _FAIL where the computation fails.  A StateOver layer
+    runs the computation on the first state of the register and reads
+    the inner computation it returns against the rest.
+    """
+    kind = type(ctx)
+    if kind is Identity:
+        return lambda comp, regs: (comp, regs)
+    if kind is Partial:
+        return lambda comp, regs: ((comp.value if isinstance(comp, Just) else _FAIL), regs)
+    if kind is not StateOver:
+        raise TypeError(f"strategies run in Identity, Partial or StateOver over those, not {ctx!r}")
+    inner = _unpacker(ctx.inner)
+
+    def unpack(comp, regs):
+        pair, rest = inner(comp(regs[0]), regs[1:])
+        if pair is _FAIL:
+            return _FAIL, regs
+        return pair[0], (pair[1], *rest)
+
+    return unpack
 
 
 def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
     # Tie the knot for a scheme: hand `define` a self-reference, of the kind
     # and context of `s`, before the body it refers to exists.
-    def run(t):
-        return body.run(t)
-
-    rec = type(s)(s.context, run)
-    body = define(rec)
+    ref = _Ref(s.context)
+    rec = type(s)(s.context, ref)
+    ref.body = define(rec).run
     return rec
 
 
@@ -123,33 +382,22 @@ def _partial_context(ctx: EffectContext) -> EffectContext:
 
 def identity_tp(ctx: EffectContext) -> TP:
     """Succeed on every term, returning it unchanged."""
-    return TP(ctx, ctx.pure)
+    return TP(ctx, _Const(ctx, _TERM))
 
 
 def build_tu(ctx: EffectContext, value) -> TU:
     """Succeed on every term with a constant result."""
-    return TU(ctx, lambda t: ctx.pure(value))
+    return TU(ctx, _Const(ctx, value))
 
 
 def fail_tp(ctx: EffectContext) -> TP:
     """Fail on every term."""
-    _partial_context(ctx)
-    return TP(ctx, lambda t: ctx.zero())
+    return TP(ctx, _Fail(_partial_context(ctx)))
 
 
 def fail_tu(ctx: EffectContext) -> TU:
     """Fail on every term."""
-    _partial_context(ctx)
-    return TU(ctx, lambda t: ctx.zero())
-
-
-def _adhoc(kind, default, tag, hit):
-    def run(t):
-        if t.tag is tag:
-            return hit(t.value)
-        return default.run(t)
-
-    return kind(default.context, run)
+    return TU(ctx, _Fail(_partial_context(ctx)))
 
 
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
@@ -161,7 +409,7 @@ def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
     fine: the most recently added customization is consulted first.
     """
     ctx = default.context
-    return _adhoc(TP, default, tag, lambda v: ctx.bind(step(v), lambda w: ctx.pure(term(w, tag))))
+    return TP(ctx, _Adhoc(ctx, default.run, tag, step, True))
 
 
 def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
@@ -170,84 +418,42 @@ def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
     `step` receives the bare value and returns a computation of the
     result type.
     """
-    return _adhoc(TU, default, tag, step)
+    ctx = default.context
+    return TU(ctx, _Adhoc(ctx, default.run, tag, step, False))
 
 
 def seq_tp(first: TP, second: TP) -> TP:
     """Feed the output term of one transformation into another."""
     ctx = _same_context(first, second)
-    return TP(ctx, lambda t: ctx.bind(first.run(t), second.run))
+    return TP(ctx, _Seq(ctx, first.run, second.run, None))
 
 
 def seq_tu(first: TP, second: TU) -> TU:
     """Transform, then analyse the transformed term."""
     ctx = _same_context(first, second)
-    return TU(ctx, lambda t: ctx.bind(first.run(t), second.run))
-
-
-def _let(kind, analysis, body):
-    ctx = analysis.context
-    return kind(ctx, lambda t: ctx.bind(analysis.run(t), lambda v: body(v).run(t)))
+    return TU(ctx, _Seq(ctx, first.run, second.run, None))
 
 
 def let_tp(analysis: TU, body: Callable[[Any], TP]) -> TP:
     """Run an analysis, then a transformation chosen from its result."""
-    return _let(TP, analysis, body)
+    return TP(analysis.context, _Let(analysis.context, analysis.run, body))
 
 
 def let_tu(analysis: TU, body: Callable[[Any], TU]) -> TU:
     """Run an analysis, then an analysis chosen from its result."""
-    return _let(TU, analysis, body)
+    return TU(analysis.context, _Let(analysis.context, analysis.run, body))
 
 
 def choice_tp(first: TP, second: TP) -> TP:
     """Committed choice: try one transformation, else the other."""
     ctx = _partial_context(_same_context(first, second))
-    return TP(ctx, lambda t: ctx.plus_lazy(lambda: first.run(t), lambda: second.run(t)))
+    return TP(ctx, _Choice(ctx, first.run, second.run))
 
 
 def choice_tu(first: TU, second: TU) -> TU:
     """Committed choice between analyses."""
     ctx = _partial_context(_same_context(first, second))
-    return TU(ctx, lambda t: ctx.plus_lazy(lambda: first.run(t), lambda: second.run(t)))
-
-
-def _fold(s, start, append, finish):
-    # The one-layer fold: run `s` on each immediate subterm, left to right,
-    # appending each result to the accumulator; `finish(t, kids, acc)` gives
-    # the value of the whole.
-    ctx = s.context
-
-    def run(t):
-        kids = children(t)
-
-        def go(i, acc):
-            if i == len(kids):
-                return ctx.pure(finish(t, kids, acc))
-            return ctx.bind(s.run(kids[i]), lambda r: go(i + 1, append(acc, r)))
-
-        return go(0, start)
-
-    return run
-
-
-def _search(s, found):
-    # The one-layer search: try `s` on each immediate subterm, left to right,
-    # committing to the first success; `found(t, kids, i, comp)` turns the
-    # computation at child i into the value of the whole.
-    ctx = _partial_context(s.context)
-
-    def run(t):
-        kids = children(t)
-
-        def go(i):
-            if i == len(kids):
-                return ctx.zero()
-            return ctx.plus_lazy(lambda: found(t, kids, i, s.run(kids[i])), lambda: go(i + 1))
-
-        return go(0)
-
-    return run
+    return TU(ctx, _Choice(ctx, first.run, second.run))
 
 
 def all_tp(s: TP) -> TP:
@@ -258,15 +464,7 @@ def all_tp(s: TP) -> TP:
     the input term itself is the result, so unchanged subterms are shared
     rather than copied.
     """
-    return TP(
-        s.context,
-        _fold(
-            s,
-            (),
-            lambda acc, new: acc + (new,),
-            lambda t, kids, new: rebuild(t, new) if any(map(is_not, new, kids)) else t,
-        ),
-    )
+    return TP(s.context, _All(s.context, s.run, None, None))
 
 
 def all_tu(s: TU, monoid: Monoid) -> TU:
@@ -275,7 +473,7 @@ def all_tu(s: TU, monoid: Monoid) -> TU:
     The fold starts from the monoid's neutral element, so terms without
     children yield the neutral element.
     """
-    return TU(s.context, _fold(s, monoid.neutral, monoid.append, lambda t, kids, acc: acc))
+    return TU(s.context, _All(s.context, s.run, monoid.append, monoid.neutral))
 
 
 def one_tp(s: TP) -> TP:
@@ -284,31 +482,30 @@ def one_tp(s: TP) -> TP:
     Children are tried left to right and the search stops at the first
     success; terms without children fail.
     """
-    ctx = s.context
-
-    def found(t, kids, i, comp):
-        return ctx.bind(comp, lambda new: ctx.pure(rebuild(t, kids[:i] + (new,) + kids[i + 1 :])))
-
-    return TP(ctx, _search(s, found))
+    ctx = _partial_context(s.context)
+    return TP(ctx, _One(ctx, s.run, True))
 
 
 def one_tu(s: TU) -> TU:
     """Analyse the leftmost immediate subterm the strategy succeeds on."""
-    return TU(s.context, _search(s, lambda t, kids, i, comp: comp))
+    ctx = _partial_context(s.context)
+    return TU(ctx, _One(ctx, s.run, False))
+
+
+def _msubst(kind, morphism, s):
+    if s.context != morphism.source:
+        raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
+    return kind(morphism.target, _MSubst(morphism.target, morphism, s.run))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:
     """Move a transformation into another effect context."""
-    if s.context != morphism.source:
-        raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
-    return TP(morphism.target, lambda t: morphism.run(s.run(t)))
+    return _msubst(TP, morphism, s)
 
 
 def msubst_tu(morphism: EffectMorphism, s: TU) -> TU:
     """Move an analysis into another effect context."""
-    if s.context != morphism.source:
-        raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
-    return TU(morphism.target, lambda t: morphism.run(s.run(t)))
+    return _msubst(TU, morphism, s)
 
 
 @dataclass(frozen=True)
@@ -340,14 +537,7 @@ def tu_ops(monoid: Monoid) -> OverloadedOps:
 
     def seq(first: TU, second: TU) -> TU:
         ctx = _same_context(first, second)
-
-        def run(t):
-            return ctx.bind(
-                first.run(t),
-                lambda a: ctx.bind(second.run(t), lambda b: ctx.pure(monoid.append(a, b))),
-            )
-
-        return TU(ctx, run)
+        return TU(ctx, _Seq(ctx, first.run, second.run, monoid.append))
 
     return OverloadedOps(
         seq, choice_tu, lambda s: all_tu(s, monoid), one_tu, adhoc_tu

@@ -2,7 +2,8 @@
 
 Everything here recurses over the syntax tree constructor by constructor,
 with no generic machinery, so the generic traversals have something
-independent to be measured against.
+independent to be measured against.  `preorder` alone walks the term view,
+on a stack of its own.
 """
 
 from __future__ import annotations
@@ -187,10 +188,16 @@ def all_types(m: Module) -> set:
 
 
 def preorder(t):
-    """Every subterm of a term, root first, children left to right."""
-    yield t
-    for kid in children(t):
-        yield from preorder(kid)
+    """Every subterm of a term, root first, children left to right.
+
+    Walks an explicit stack, so it reaches any depth at the default
+    recursion limit.
+    """
+    pending = [t]
+    while pending:
+        t = pending.pop()
+        yield t
+        pending.extend(reversed(children(t)))
 
 
 def first_success(step, t):

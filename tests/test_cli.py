@@ -137,8 +137,8 @@ def test_non_ascii_input_exits_two_with_the_byte_offset(tmp_path, capsys, lines)
     assert err == f"{path}: not ASCII text (byte 0xc3 at offset {len(head) + 4})\n"
 
 
-# The exit-code contract on any file.  The files are small: modules of 100
-# or more declarations exhaust the default recursion limit (README, Limits).
+# The exit-code contract on any file.  Generated files are small; deep and
+# large inputs have a test of their own below.
 
 
 CORPUS_FILES = [path.read_bytes() for path in sorted(CORPUS.rglob("*.ml0"))]
@@ -159,6 +159,42 @@ def test_every_command_exits_zero_one_or_two_on_any_file(tmp_path_factory, data)
     for argv in COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main([*argv, str(path)]) in (0, 1, 2)
+
+
+# Deep and large inputs, in the main thread at the default recursion limit.
+
+DEEP = 10_000
+ARROWS = "A -> " * DEEP + "A"
+DEEP_INPUTS = {
+    "application": "f = " + "g (" * DEEP + "x" + ")" * DEEP,
+    "arrow type": "type T = " + ARROWS,
+    "constructor pattern": "f " + "(C " * DEEP + "x" + ")" * DEEP + " = x",
+    "let chain": "f = " + "let x = 1 in " * DEEP + "x",
+    "lambda chain": "f = " + "\\x -> " * DEEP + "x",
+    "arrow focus and synonym": f"type N = {ARROWS}\ndata Box = MkBox << {ARROWS} >>",
+    "deep focus": "f = << " + "g (" * DEEP + "x" + ")" * DEEP + " >>",
+    "declarations": "\n".join(f"x{i} = {i}" for i in range(DEEP)),
+}
+# The one input each focus command succeeds on; elsewhere it exits 1.
+FOCUSED = {"select-focus": "deep focus", "to-alias": "arrow focus and synonym"}
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_every_command_keeps_its_contract_on_deep_and_large_input(tmp_path, name):
+    assert sys.getrecursionlimit() == 1000
+    path = tmp_path / "deep.ml0"
+    path.write_text(f"module M where\n{DEEP_INPUTS[name]}\n")
+    for argv in COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+        assert "Traceback" not in err.getvalue()
+        assert code == (1 if FOCUSED.get(argv[0], name) != name else 0), argv
 
 
 # Formats.

@@ -14,7 +14,9 @@ from strategem.effects import (
     PARTIAL,
     PARTIAL_STATE,
     STATE,
+    EffectContext,
     Just,
+    StateOver,
     identity_morphism,
     partial_to_identity,
     run_state,
@@ -44,7 +46,8 @@ from strategem.strategies import (
     tp_ops,
     tu_ops,
 )
-from strategem.terms import INT, STR, Registry, list_of, pair_of, term
+from strategem.terms import INT, STR, Registry, list_of, pair_of, register_descriptors, term
+from strategem.themes import topdown
 
 
 @dataclass(frozen=True)
@@ -333,3 +336,93 @@ def test_shared_vocabulary_readings():
     both = tu.seq(count_int, count_int)
     assert apply(both, term(3)) == 2
     assert apply(tu.all(count_int), term((1, 2), pair_of(INT, INT))) == 2
+
+
+# How the loop runs strategies.
+
+
+def _tick(ctx, value):
+    return ctx.bind(ctx.get(), lambda n: ctx.bind(ctx.put(n + 1), lambda _: ctx.pure(value)))
+
+
+def test_state_contexts_run_nothing_until_given_a_state():
+    for ctx in (STATE, PARTIAL_STATE):
+        seen = []
+        step = adhoc_tp(identity_tp(ctx), INT, lambda v: seen.append(v) or _tick(ctx, v))
+        t = term((1, 2), pair_of(INT, INT))
+        comp = apply(topdown(step), t)
+        assert seen == []
+        out = run_state(comp, 0)
+        assert seen == [1, 2]
+        assert out == ((t, 2) if ctx is STATE else Just((t, 2)))
+
+        def boom(v):
+            raise ZeroDivisionError(v)
+
+        comp = apply(adhoc_tp(identity_tp(ctx), INT, boom), term(1))
+        with pytest.raises(ZeroDivisionError):
+            run_state(comp, 0)
+
+
+class Foreign(EffectContext):
+    """A context with only pure and bind, which strategies do not run in."""
+
+    kind = "foreign"
+
+    def pure(self, value):
+        return ("pure", value)
+
+    def bind(self, comp, fn):
+        return fn(comp[1])
+
+
+def test_foreign_contexts_are_refused():
+    ctx = Foreign()
+    step = TP(ctx, ctx.pure)
+    for s in (step, identity_tp(ctx), seq_tp(step, step), identity_tp(StateOver(ctx))):
+        with pytest.raises(TypeError, match="foreign"):
+            apply(s, term(1))
+
+
+def test_one_keeps_the_state_of_the_one_success_after_9999_failures():
+    registry = Registry()
+    _, classes = register_descriptors(registry, "Wide.W : " + " ".join(["Int"] * 10_000))
+    registry.freeze()
+    wide = registry.term(classes[("Wide", "W")](*range(10_000)))
+    ctx = PARTIAL_STATE
+
+    def last_only(v):
+        # Every child counts, then all but the last fail.
+        return ctx.bind(_tick(ctx, v), lambda _: ctx.pure(-v) if v == 9_999 else ctx.zero())
+
+    out = run_state(apply(one_tp(adhoc_tp(fail_tp(ctx), INT, last_only)), wide), 100)
+    new, state = out.value
+    assert state == 101
+    assert (new.value.f0, new.value.f9998, new.value.f9999) == (0, 9_998, -9_999)
+    out = run_state(apply(one_tu(adhoc_tu(fail_tu(ctx), INT, last_only)), wide), 100)
+    assert out == Just((-9_999, 101))
+
+
+def test_choice_restores_state_deep_inside_a_traversal():
+    # At each of 10,000 cons cells and ints the first branch counts then
+    # fails; only the second branch's count on ints may survive.
+    ctx = PARTIAL_STATE
+    count_then_fail = TP(ctx, lambda t: ctx.bind(_tick(ctx, t), lambda _: ctx.zero()))
+    count_ints = adhoc_tp(identity_tp(ctx), INT, lambda v: _tick(ctx, v))
+    t = term(list(range(10_000)), list_of(INT))
+    out = run_state(apply(topdown(choice_tp(count_then_fail, count_ints)), t), 0)
+    assert out.value[1] == 10_000
+    assert out.value[0].value == list(range(10_000))
+
+
+def test_a_step_may_apply_strategies_itself():
+    t = term([(1, 2), (3, 4)], list_of(pair_of(INT, INT)))
+    inner = topdown(inc_int(identity_tp(IDENTITY)))
+    step = TP(IDENTITY, lambda t: apply(inner, t))
+    assert apply(all_tp(step), t).value == [(2, 3), (4, 5)]
+    counter = topdown(adhoc_tp(identity_tp(STATE), INT, lambda v: _tick(STATE, v)))
+    step = TP(STATE, lambda t: apply(counter, t))
+    out, state = run_state(apply(topdown(step), t), 0)
+    assert out.value == [(1, 2), (3, 4)]
+    # Each int counts once for itself and once for every node above it.
+    assert state == 3 + 3 + 4 + 4
