@@ -185,25 +185,27 @@ def free_vars(t: Term) -> NameSet:
     return apply(free_names(refs, decs), t)
 
 
-def _select(module: Module, tag: TypeTag, marker: type, what: str):
-    # The contents of the first `marker` node of datatype `tag`, in preorder.
-    def inner(node):
-        return PARTIAL.pure(node.inner) if isinstance(node, marker) else PARTIAL.zero()
-
-    got = apply(select(adhoc_tu(fail_tu(PARTIAL), tag, inner)), to_term(module))
+def _select(module: Module, tag: TypeTag, step, missing: Exception):
+    # What the PARTIAL `step` gives on the first node of datatype `tag` it
+    # succeeds on, in preorder; `missing` is raised if there is none.
+    got = apply(select(adhoc_tu(fail_tu(PARTIAL), tag, step)), to_term(module))
     if not is_just(got):
-        raise NoFocus(f"module has no {what} focus")
+        raise missing
     return got.value
+
+
+def _inner_of(marker: type):
+    return lambda node: PARTIAL.pure(node.inner) if isinstance(node, marker) else PARTIAL.zero()
 
 
 def select_type_focus(module: Module):
     """The type inside the module's type focus."""
-    return _select(module, TYPE, TyFocus, "type")
+    return _select(module, TYPE, _inner_of(TyFocus), NoFocus("module has no type focus"))
 
 
 def select_focus(module: Module):
     """The expression inside the module's expression focus."""
-    return _select(module, EXPR, Focus, "expression")
+    return _select(module, EXPR, _inner_of(Focus), NoFocus("module has no expression focus"))
 
 
 def to_alias(name: str, module: Module) -> Module:
@@ -219,11 +221,8 @@ def to_alias(name: str, module: Module) -> Module:
             return PARTIAL.pure(d.rhs)
         return PARTIAL.zero()
 
-    lookup = select(adhoc_tu(fail_tu(PARTIAL), DECL, alias_rhs))
-    rhs = apply(lookup, to_term(module))
-    if not is_just(rhs):
-        raise NoSuchAlias(f"no type synonym named {name}")
-    if to_term(focused) != to_term(rhs.value):
+    rhs = _select(module, DECL, alias_rhs, NoSuchAlias(f"no type synonym named {name}"))
+    if to_term(focused) != to_term(rhs):
         raise GuardFailed(f"focused type is not the right-hand side of {name}")
 
     def fold(ty):

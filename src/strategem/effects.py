@@ -85,9 +85,9 @@ class EffectContext:
 
     `pure` injects a value, `bind` sequences a computation into a function
     producing the next one.  Both obey the usual identity and associativity
-    laws.  Subclasses add capabilities by defining the capability methods;
-    their absence is meaningful and is checked by `supports_failure` and
-    `supports_state`.
+    laws.  Subclasses add capabilities by defining capability methods
+    (`zero`/`plus`, `get`/`put`); `supports_failure` and `supports_state`
+    test the class of a context, not which methods it defines.
     """
 
     kind = "abstract"

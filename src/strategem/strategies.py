@@ -34,11 +34,15 @@ Strategies are data run by one loop.  Every combinator builds a small
 node, held in the `run` field of its TP or TU, and `_loop` interprets the
 nodes with an explicit stack of pending frames, so no traversal recurses
 on the Python stack however deep or long its term.  Failure is a sentinel
-passed back up the stack; the states of a state context are a register
-tuple, which `choice` and `one` save and restore when a branch fails.  A
-`TP(ctx, fn)` or `TU(ctx, fn)` made from a function is a step: the loop
-calls it and unpacks the computation it returns.  A node is callable, so
-`s.run(t)` is `apply(s, t)`.
+passed back up the stack; `fail_tp` and `fail_tu` are the constant node
+whose value it is, as `identity_tp` and `build_tu` are constant nodes.
+The states of a state context are a register tuple, which `choice` and
+`one` save and restore when a branch fails.  A `TP(ctx, fn)` or
+`TU(ctx, fn)` made from a function is a step: the loop calls it and
+unpacks the computation it returns.  A node is callable, so `s.run(t)` is
+`apply(s, t)`.  The strategy a `let` body returns must live in the let's
+context; the loop checks this when the body is chosen, and raises the
+`ValueError` that `seq` and `choice` raise at construction.
 
 In a state context `apply` returns a computation that runs nothing until
 it is given a state.  `msubst` runs its strategy in a nested loop, so a
@@ -52,7 +56,6 @@ from operator import is_not
 from typing import Any, Callable
 
 from .effects import (
-    NOTHING,
     EffectContext,
     EffectMorphism,
     Identity,
@@ -138,14 +141,10 @@ class _Node:
 
 
 class _Const(_Node):
-    __slots__ = ("value",)  # _TERM for identity_tp
+    __slots__ = ("value",)  # _TERM for identity_tp, _FAIL for fail_tp/fail_tu
 
     def __init__(self, ctx, value):
         self.ctx, self.value = ctx, value
-
-
-class _Fail(_Node):
-    __slots__ = ()
 
 
 class _Adhoc(_Node):
@@ -213,7 +212,7 @@ def _loop(node, t, regs, unpack):
     Returns the value, or _FAIL, and the register after it.  `unpack`
     reads a step's computation against the register.  Frames pending a
     value: (_Seq, node, t) and (_APPEND, append, first result); (_Let,
-    body, t); (_Choice, second, t, regs) and [_One, node, t, kids, i,
+    node, t); (_Choice, second, t, regs) and [_One, node, t, kids, i,
     regs], which take over on failure; [_All, node, t, kids, i, results].
     """
     stack = []
@@ -254,11 +253,8 @@ def _loop(node, t, regs, unpack):
                     break
                 push([_One, node, t, kids, 0, regs])
                 node, t = node.s, kids[0]
-            elif kind is _Fail:
-                v = _FAIL
-                break
             elif kind is _Let:
-                push((_Let, node.body, t))
+                push((_Let, node, t))
                 node = node.analysis
             elif kind is _MSubst:
                 v, regs = unpack(node.morphism.run(node.s(t)), regs)
@@ -307,7 +303,10 @@ def _loop(node, t, regs, unpack):
             elif kind is _APPEND:
                 v = frame[1](frame[2], v)
             elif kind is _Let:
-                node, t = frame[1](v).run, frame[2]
+                body, t = frame[1].body(v), frame[2]
+                if body.context is not frame[1].ctx:  # usually the very same object
+                    _same_context(frame[1].ctx, body.context)
+                node = body.run
                 break
             elif kind is _One and frame[1].tp:
                 kids, i = frame[3], frame[4]
@@ -320,16 +319,16 @@ def _loop(node, t, regs, unpack):
 def _run(ctx, node, t, unpack=None, regs=()):
     # The computation of `ctx` that runs `node` (a node or a step) at `t`.
     # A StateOver layer takes its state before anything runs; the loop's
-    # result is then packed as the inner contexts' pure value would be.
+    # result, paired with each final state, is packed by the inner context.
     unpack = unpack or _unpacker(ctx)
     if type(ctx) is StateOver:
         return lambda s: _run(ctx.inner, node, t, unpack, regs + (s,))
     v, regs = _loop(node, t, regs, unpack)
     if v is _FAIL:
-        return NOTHING
+        return ctx.zero()
     for s in regs:
         v = (v, s)
-    return Just(v) if type(ctx) is Partial else v
+    return ctx.pure(v)
 
 
 def _unpacker(ctx):
@@ -366,11 +365,9 @@ def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
     return rec
 
 
-def _same_context(*strategies) -> EffectContext:
-    ctx = strategies[0].context
-    for s in strategies[1:]:
-        if s.context != ctx:
-            raise ValueError(f"mixed effect contexts: {ctx!r} and {s.context!r}")
+def _same_context(ctx: EffectContext, other: EffectContext) -> EffectContext:
+    if other != ctx:
+        raise ValueError(f"mixed effect contexts: {ctx!r} and {other!r}")
     return ctx
 
 
@@ -392,12 +389,12 @@ def build_tu(ctx: EffectContext, value) -> TU:
 
 def fail_tp(ctx: EffectContext) -> TP:
     """Fail on every term."""
-    return TP(ctx, _Fail(_partial_context(ctx)))
+    return TP(ctx, _Const(_partial_context(ctx), _FAIL))
 
 
 def fail_tu(ctx: EffectContext) -> TU:
     """Fail on every term."""
-    return TU(ctx, _Fail(_partial_context(ctx)))
+    return TU(ctx, _Const(_partial_context(ctx), _FAIL))
 
 
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
@@ -424,13 +421,13 @@ def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
 
 def seq_tp(first: TP, second: TP) -> TP:
     """Feed the output term of one transformation into another."""
-    ctx = _same_context(first, second)
+    ctx = _same_context(first.context, second.context)
     return TP(ctx, _Seq(ctx, first.run, second.run, None))
 
 
 def seq_tu(first: TP, second: TU) -> TU:
     """Transform, then analyse the transformed term."""
-    ctx = _same_context(first, second)
+    ctx = _same_context(first.context, second.context)
     return TU(ctx, _Seq(ctx, first.run, second.run, None))
 
 
@@ -446,13 +443,13 @@ def let_tu(analysis: TU, body: Callable[[Any], TU]) -> TU:
 
 def choice_tp(first: TP, second: TP) -> TP:
     """Committed choice: try one transformation, else the other."""
-    ctx = _partial_context(_same_context(first, second))
+    ctx = _partial_context(_same_context(first.context, second.context))
     return TP(ctx, _Choice(ctx, first.run, second.run))
 
 
 def choice_tu(first: TU, second: TU) -> TU:
     """Committed choice between analyses."""
-    ctx = _partial_context(_same_context(first, second))
+    ctx = _partial_context(_same_context(first.context, second.context))
     return TU(ctx, _Choice(ctx, first.run, second.run))
 
 
@@ -536,7 +533,7 @@ def tu_ops(monoid: Monoid) -> OverloadedOps:
     """
 
     def seq(first: TU, second: TU) -> TU:
-        ctx = _same_context(first, second)
+        ctx = _same_context(first.context, second.context)
         return TU(ctx, _Seq(ctx, first.run, second.run, monoid.append))
 
     return OverloadedOps(

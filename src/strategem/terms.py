@@ -44,6 +44,7 @@ pays O(length) for each cons cell it runs on.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import types
 import typing
 from dataclasses import dataclass
@@ -153,7 +154,7 @@ class Term:
         return same_term(self, other)
 
     def __hash__(self):
-        return hash(tuple((t.tag, _entry(t.tag).head(t)) for t in _preorder(self)))
+        return hash(tuple(_keys(self)))
 
     def __repr__(self):
         return f"Term({self.value!r} : {self.tag.name})"
@@ -204,8 +205,7 @@ class _NodeEntry(_Entry):
         # constructors: list of (class, ConstructorTag, field name tuple)
         self.tag = tag
         self.by_class = {cls: (con, names) for cls, con, names in constructors}
-        self.by_con = {con: (cls, names) for cls, con, names in constructors}
-        self.field_types = tuple(f for con in self.by_con for f in con.field_tags)
+        self.field_types = tuple(f for con, _ in self.by_class.values() for f in con.field_tags)
 
     def check(self, t):
         return type(t.value) in self.by_class
@@ -220,9 +220,9 @@ class _NodeEntry(_Entry):
             Term(getattr(value, name), ftag) for name, ftag in zip(names, con.field_tags)
         )
 
-    def rebuild(self, t, con, kids):
-        cls, _ = self.by_con[con]
-        return Term(cls(*[kid.value for kid in kids]), t.tag)
+    def rebuild(self, t, kids):
+        # The class of the value is the constructor being kept.
+        return Term(type(t.value)(*[kid.value for kid in kids]), t.tag)
 
 
 class _Tail(Term):
@@ -296,7 +296,7 @@ class _ListEntry(_Entry):
             return ()
         return (Term(seq[i], self.elem), _Tail(seq, i + 1, self.tag))
 
-    def rebuild(self, t, con, kids):
+    def rebuild(self, t, kids):
         return _Cons(kids[0], kids[1], self.tag)
 
 
@@ -318,7 +318,7 @@ class _PairEntry(_Entry):
         value = t.value
         return (Term(value[0], self.first), Term(value[1], self.second))
 
-    def rebuild(self, t, con, kids):
+    def rebuild(self, t, kids):
         return Term((kids[0].value, kids[1].value), self.tag)
 
 
@@ -343,7 +343,7 @@ class _OptionalEntry(_Entry):
             return ()
         return (Term(t.value, self.elem),)
 
-    def rebuild(self, t, con, kids):
+    def rebuild(self, t, kids):
         return Term(kids[0].value, self.tag)
 
 
@@ -398,9 +398,12 @@ def term(value, tag: TypeTag | None = None) -> Term:
             raise UnregisteredType(
                 f"cannot infer a datatype for {value!r}; pass the tag explicitly"
             )
-    t = Term(value, tag)
-    if not _entry(tag).check(t):
-        raise TypeError(f"{value!r} is not a value of datatype {tag.name}")
+    return _checked(Term(value, tag))
+
+
+def _checked(t: Term) -> Term:
+    if not _entry(t.tag).check(t):
+        raise TypeError(f"{t.value!r} is not a value of datatype {t.tag.name}")
     return t
 
 
@@ -436,7 +439,7 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
             )
     if con.arity == 0:
         return t
-    return _entry(t.tag).rebuild(t, con, kids)
+    return _entry(t.tag).rebuild(t, kids)
 
 
 def cast(t: Term, target: TypeTag):
@@ -448,17 +451,8 @@ def cast(t: Term, target: TypeTag):
 
 def same_term(a: Term, b: Term) -> bool:
     """Structural equality: equal tags, constructors and children."""
-    pending = [(a, b)]
-    while pending:
-        a, b = pending.pop()
-        if a.tag is not b.tag:
-            return False
-        entry = _entry(a.tag)
-        if entry.head(a) != entry.head(b):
-            return False
-        if entry.field_types:
-            pending.extend(zip(reversed(entry.children(a)), reversed(entry.children(b))))
-    return True
+    # Walks that agree as far as both go are equally long: a head fixes its node's arity.
+    return all(map(operator.eq, _keys(a), _keys(b)))
 
 
 def _preorder(t: Term):
@@ -471,11 +465,16 @@ def _preorder(t: Term):
         pending.extend(reversed(children(t)))
 
 
+def _keys(t: Term):
+    # What equal terms share, node by node: `==` compares it and `hash` hashes it.
+    for sub in _preorder(t):
+        yield sub.tag, _entry(sub.tag).head(sub)
+
+
 def validate_term(t: Term) -> None:
     """Walk a term and check every level against its datatype."""
     for sub in _preorder(t):
-        if not _entry(sub.tag).check(sub):
-            raise TypeError(f"{sub.value!r} is not a value of datatype {sub.tag.name}")
+        _checked(sub)
 
 
 class Registry:
@@ -491,7 +490,6 @@ class Registry:
     def __init__(self):
         self._by_name: dict[str, TypeTag] = {}
         self._classes: dict[type, TypeTag] = {}
-        self._signatures: dict[TypeTag, tuple] = {}
         self._frozen = False
 
     def declare(self, name: str) -> TypeTag:
@@ -514,8 +512,10 @@ class Registry:
         if self._by_name.get(tag.name) is not tag:
             raise UnregisteredType(f"{tag!r} was not declared in this registry")
         signature = tuple((cls, tuple(ftags)) for cls, ftags in constructors)
-        if tag in self._signatures:
-            if self._signatures[tag] == signature:
+        if tag._entry is not None:
+            # The same shape builds the same entry: one constructor per class, in order.
+            shape = tuple((cls, con.field_tags) for cls, (con, _) in tag._entry.by_class.items())
+            if shape == tuple(dict(signature).items()):
                 return tag
             raise DuplicateRegistration(
                 f"datatype {tag.name} is already defined with a different shape"
@@ -538,7 +538,6 @@ class Registry:
                 )
             built.append((cls, ConstructorTag(cls.__name__, tag, ftags), names))
         tag._entry = _NodeEntry(tag, built)
-        self._signatures[tag] = signature
         for cls, _, _ in built:
             self._classes[cls] = tag
         return tag
@@ -576,7 +575,7 @@ class Registry:
             return class_map[hint]
         origin = typing.get_origin(hint)
         args = typing.get_args(hint)
-        if origin is list:
+        if origin is list and len(args) == 1:
             return list_of(self._resolve(args[0], class_map, where))
         if origin is tuple:
             if len(args) == 2 and args[1] is Ellipsis:
@@ -631,7 +630,7 @@ def descriptor_lines(tag: TypeTag) -> list[str]:
     if not isinstance(entry, _NodeEntry):
         raise TypeError(f"{tag!r} is not an algebraic datatype")
     lines = []
-    for con in entry.by_con:
+    for con, _ in entry.by_class.values():
         fields = " ".join(ftag.name for ftag in con.field_tags)
         lines.append(f"{tag.name}.{con.name} : {fields}".rstrip())
     return lines
@@ -679,13 +678,10 @@ def register_descriptors(registry: Registry, text: str):
         parsed.append((tname.strip(), cname.strip(), fields.split()))
 
     tags = {tname: registry.declare(tname) for tname, _, _ in parsed}
+    known = {**tags, **{atom.name: atom for atom in _ATOM_BY_TYPE.values()}}
 
     def lookup(name):
-        if name in ("Int", "Str", "Bool"):
-            return {"Int": INT, "Str": STR, "Bool": BOOL}[name]
-        if name in tags:
-            return tags[name]
-        return registry.tag(name)
+        return known[name] if name in known else registry.tag(name)
 
     classes = {}
     grouped: dict[str, list] = {}

@@ -34,6 +34,7 @@ from .strategies import (
     TP,
     TU,
     OverloadedOps,
+    _msubst,
     _recursive,
     all_tp,
     all_tu,
@@ -42,8 +43,6 @@ from .strategies import (
     choice_tu,
     identity_tp,
     let_tu,
-    msubst_tp,
-    msubst_tu,
     one_tp,
     one_tu,
     seq_tp,
@@ -207,7 +206,4 @@ def local_state(initial, s):
     ctx = s.context
     if not isinstance(ctx, StateOver):
         raise TypeError(f"local_state needs a strategy in a state context, got {ctx!r}")
-    morphism = unlift_state(ctx, initial)
-    if isinstance(s, TP):
-        return msubst_tp(morphism, s)
-    return msubst_tu(morphism, s)
+    return _msubst(type(s), unlift_state(ctx, initial), s)

@@ -166,6 +166,18 @@ def test_let_binds_an_intermediate_result():
     assert apply(u, term(5)) == 15
 
 
+def test_let_body_must_live_in_the_lets_context():
+    def body(ctx):
+        return lambda n: adhoc_tp(identity_tp(ctx), INT, lambda v: ctx.pure(v + n))
+
+    with pytest.raises(ValueError, match="mixed effect contexts"):
+        apply(let_tp(build_tu(PARTIAL, 0), body(IDENTITY)), term(1))
+    with pytest.raises(ValueError, match="mixed effect contexts"):
+        run_state(apply(let_tp(build_tu(STATE, 0), body(IDENTITY)), term(1)), 0)
+    with pytest.raises(ValueError, match="mixed effect contexts"):
+        apply(let_tp(build_tu(IDENTITY, 1), body(PARTIAL)), term(1))
+
+
 def test_choice_commits_to_first_success():
     plus_one = inc_int(identity_tp(PARTIAL))
     s = choice_tp(plus_one, fail_tp(PARTIAL))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import hypothesis.strategies as st
 import pytest
@@ -270,9 +270,11 @@ REBUILD_ATOMS = adhoc_tp(adhoc_tp(identity_tp(IDENTITY), INT, IDENTITY.pure), ST
 def test_equal_terms_hash_alike(t):
     flipped = other_sequence_form(t)
     rebuilt = apply(topdown(REBUILD_ATOMS), t)
-    for other in (flipped, rebuilt):
+    rebuilt_flipped = apply(topdown(REBUILD_ATOMS), flipped)
+    for other in (flipped, rebuilt, rebuilt_flipped):
         assert other == t and hash(other) == hash(t)
-    assert len({t, flipped, rebuilt}) == 1
+        assert rebuilt == other and hash(rebuilt) == hash(other)
+    assert len({t, flipped, rebuilt, rebuilt_flipped}) == 1
     for sub in subterms(t):
         if constructor(sub).name == "Cons":
             tail = children(sub)[1]
@@ -347,6 +349,17 @@ def test_structural_equality():
     assert a == b and a != c
     assert same_term(a, b) and not same_term(a, c)
     assert term(1) != term("1")
+    # Unequal terms whose preorder keys agree for a while.
+    ints, opt = list_of(INT), optional_of(INT)
+    rebuilt = apply(topdown(REBUILD_ATOMS), term([1, 2], ints))
+    for x, y in [
+        (term([1, 2], ints), term((1, 2, 3), ints)),
+        (rebuilt, term([1, 2, 3], ints)),
+        (term(True), term(1)),
+        (term(None, opt), term(5, opt)),
+    ]:
+        assert x != y and y != x
+        assert not same_term(x, y) and not same_term(y, x)
 
 
 def test_type_of_and_names():
@@ -466,8 +479,17 @@ def test_derive_rejects_unknown_annotations():
     class Bad:
         x: dict
 
-    with pytest.raises(UnregisteredType):
-        r.derive({"Bad": [Bad]})
+    @dataclass(frozen=True)
+    class BareList:
+        x: List
+
+    @dataclass(frozen=True)
+    class TwoArgList:
+        x: list[int, str]
+
+    for cls in (Bad, BareList, TwoArgList):
+        with pytest.raises(UnregisteredType):
+            r.derive({cls.__name__: [cls]})
 
 
 def test_registry_tag_lookup():
@@ -510,6 +532,17 @@ def test_descriptor_lines_round_trip():
     tags, classes = register_descriptors(r, "\n".join(lines))
     again = descriptor_lines(tags["Tree"])
     assert again == lines
+
+
+def test_descriptors_nest_pairs_and_name_earlier_datatypes():
+    r = Registry()
+    leaf_tags, leaf_classes = register_descriptors(r, "Leaf.L : Int")
+    line = "Box.B : Pair(Pair(Int,Str),Int) Leaf"
+    tags, classes = register_descriptors(r, line)
+    assert descriptor_lines(tags["Box"]) == [line]
+    t = r.term(classes[("Box", "B")](((1, "a"), 2), leaf_classes[("Leaf", "L")](3)))
+    assert [k.tag for k in children(t)] == [pair_of(pair_of(INT, STR), INT), leaf_tags["Leaf"]]
+    assert rebuild(t, children(t)) == t
 
 
 def test_descriptor_lines_rejects_atoms():

@@ -438,6 +438,17 @@ def test_local_state_on_stateless_strategy_is_inert():
     assert apply(s, t) == apply(plain, t)
 
 
+def test_local_state_on_an_analysis():
+    ctx = STATE
+
+    def step(v):
+        return ctx.bind(ctx.get(), lambda n: ctx.bind(ctx.put(n + 1), lambda _: ctx.pure([(n, v)])))
+
+    s = local_state(10, crush(adhoc_tu(build_tu(ctx, []), INT, step), LIST_CONCAT))
+    assert isinstance(s, TU) and s.context == IDENTITY
+    assert apply(s, nested_pair()) == [(10, 1), (11, 2), (12, 3)]
+
+
 def test_local_state_rejects_stateless_contexts():
     with pytest.raises(TypeError):
         local_state(0, identity_tp(IDENTITY))
