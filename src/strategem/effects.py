@@ -228,7 +228,12 @@ def run_state(comp, initial):
 
 @dataclass(frozen=True)
 class Monoid:
-    """Neutral element plus an associative append, passed to unifying folds."""
+    """Neutral element plus an associative append, passed to unifying folds.
+
+    `neutral` must be a unit of `append`: `all_tu` relies on this when it
+    skips a subterm whose analysis is known to give `neutral`, appending
+    nothing for it.
+    """
 
     neutral: Any
     append: Callable[[Any, Any], Any]

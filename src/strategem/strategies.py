@@ -47,6 +47,20 @@ context; the loop checks this when the body is chosen, and raises the
 In a state context `apply` returns a computation that runs nothing until
 it is given a state.  `msubst` runs its strategy in a nested loop, so a
 recursion through `msubst` is bounded by the Python stack again.
+
+Nested adhoc layers collapse into one node holding a dict from tag to
+step, so a chain dispatches with one lookup.  A traversal skips the
+subterms no adhoc layer can reach.  On its first run an `all` or `one`
+node reads its strategy: the tags of the adhoc layers it can run, and
+its outcome on a term whose datatype reaches none of them at any depth.
+Where that outcome is what skipping gives (the term itself under
+`all_tp`, the monoid's neutral element under `all_tu`, failure under
+`one`), a kid of such a datatype is not entered: `all_tp` keeps it,
+`all_tu` appends nothing for it and `one` counts it as a failure.  The
+outcome cannot be read through a `let`, an `msubst` or a step function,
+so any of them where the strategy would run on the kid switches pruning
+off for that node.  A datatype declared but not yet defined may reach
+anything, so it is always entered.
 """
 
 from __future__ import annotations
@@ -65,7 +79,7 @@ from .effects import (
     StateOver,
     supports_failure,
 )
-from .terms import Term, TypeTag, children, rebuild, term
+from .terms import Term, TypeTag, _entry, _reach, children, rebuild, term
 
 __all__ = [
     "TP",
@@ -119,7 +133,7 @@ def apply(s: Strategy, t: Term):
     """Apply a strategy to a term, yielding a computation in its context."""
     if not isinstance(t, Term):
         raise TypeError(f"strategies apply to terms, got {t!r}")
-    return _run(s.context, s.run, t)
+    return _run(s.context, _node(s), t)
 
 
 # The loop's failure, passed back up its stack in place of a value.
@@ -148,10 +162,12 @@ class _Const(_Node):
 
 
 class _Adhoc(_Node):
-    __slots__ = ("default", "tag", "step", "tp")  # tp: wrap the value as a term
+    # `steps` maps each tag of a chain of adhoc layers to its step; `tp`:
+    # wrap the step's value as a term.
+    __slots__ = ("default", "steps", "tp")
 
-    def __init__(self, ctx, default, tag, step, tp):
-        self.ctx, self.default, self.tag, self.step, self.tp = ctx, default, tag, step, tp
+    def __init__(self, ctx, default, steps, tp):
+        self.ctx, self.default, self.steps, self.tp = ctx, default, steps, tp
 
 
 class _Seq(_Node):
@@ -177,18 +193,25 @@ class _Choice(_Node):
         self.ctx, self.first, self.second = ctx, first, second
 
 
+# The `skips` of an _All or _One node before its first run on a term with
+# kids; `_first_read` makes it a _Skips, or None if the node skips no kid.
+_UNREAD = object()
+
+
 class _All(_Node):
-    __slots__ = ("s", "append", "neutral")  # append: None for TP, else the monoid's
+    __slots__ = ("s", "append", "neutral", "skips")  # append: None for TP, else the monoid's
 
     def __init__(self, ctx, s, append, neutral):
         self.ctx, self.s, self.append, self.neutral = ctx, s, append, neutral
+        self.skips = _UNREAD
 
 
 class _One(_Node):
-    __slots__ = ("s", "tp")
+    __slots__ = ("s", "tp", "skips")
 
     def __init__(self, ctx, s, tp):
         self.ctx, self.s, self.tp = ctx, s, tp
+        self.skips = _UNREAD
 
 
 class _MSubst(_Node):
@@ -213,7 +236,11 @@ def _loop(node, t, regs, unpack):
     reads a step's computation against the register.  Frames pending a
     value: (_Seq, node, t) and (_APPEND, append, first result); (_Let,
     node, t); (_Choice, second, t, regs) and [_One, node, t, kids, i,
-    regs], which take over on failure; [_All, node, t, kids, i, results].
+    regs, skip], which take over on failure; [_All, node, t, kids, i,
+    results, skip].  `skip` is the node's `skips` for the datatype of `t`:
+    None, or whether to pass over a kid, by its tag.  all_tp keeps a kid
+    it passes over as it is, all_tu appends nothing for it, one counts it
+    as a failure.
     """
     stack = []
     push, pop = stack.append, stack.pop
@@ -227,10 +254,11 @@ def _loop(node, t, regs, unpack):
                 push((_Seq, node, t))
                 node = node.first
             elif kind is _Adhoc:
-                if t.tag is node.tag:
-                    v, regs = unpack(node.step(t.value), regs)
+                step = node.steps.get(t.tag)
+                if step is not None:
+                    v, regs = unpack(step(t.value), regs)
                     if node.tp and v is not _FAIL:
-                        v = term(v, node.tag)
+                        v = term(v, t.tag)
                     break
                 node = node.default
             elif kind is _Const:
@@ -241,18 +269,32 @@ def _loop(node, t, regs, unpack):
                 if not kids:
                     v = t if node.append is None else node.neutral
                     break
-                push([_All, node, t, kids, 0, [] if node.append is None else node.neutral])
-                node, t = node.s, kids[0]
+                i, skip = 0, node.skips
+                if skip is not None:
+                    skip = skip[t.tag] if skip is not _UNREAD else _first_read(node, t.tag)
+                    while skip is not None and i < len(kids) and skip[kids[i].tag]:
+                        i += 1
+                    if i == len(kids):
+                        v = t if node.append is None else node.neutral
+                        break
+                # all_tp's results start as the kids, so the skipped ones stay.
+                results = list(kids) if node.append is None else node.neutral
+                push([_All, node, t, kids, i, results, skip])
+                node, t = node.s, kids[i]
             elif kind is _Choice:
                 push((_Choice, node.second, t, regs))
                 node = node.first
             elif kind is _One:
-                kids = children(t)
-                if not kids:
+                kids, i, skip = children(t), 0, node.skips
+                if skip is not None and kids:
+                    skip = skip[t.tag] if skip is not _UNREAD else _first_read(node, t.tag)
+                    while skip is not None and i < len(kids) and skip[kids[i].tag]:
+                        i += 1
+                if i == len(kids):
                     v = _FAIL
                     break
-                push([_One, node, t, kids, 0, regs])
-                node, t = node.s, kids[0]
+                push([_One, node, t, kids, i, regs, skip])
+                node, t = node.s, kids[i]
             elif kind is _Let:
                 push((_Let, node, t))
                 node = node.analysis
@@ -271,19 +313,25 @@ def _loop(node, t, regs, unpack):
                     _, node, t, regs = frame
                     break
                 if kind is _One:
-                    kids, i = frame[3], frame[4] + 1
+                    kids, i, skip = frame[3], frame[4] + 1, frame[6]
+                    if skip is not None:
+                        while i < len(kids) and skip[kids[i].tag]:
+                            i += 1
                     if i < len(kids):
                         frame[4] = i
                         push(frame)
                         node, t, regs = frame[1].s, kids[i], frame[5]
                         break
             elif kind is _All:
-                node = frame[1]
+                node, i = frame[1], frame[4]
                 if node.append is None:
-                    frame[5].append(v)
+                    frame[5][i] = v
                 else:
                     frame[5] = node.append(frame[5], v)
-                kids, i = frame[3], frame[4] + 1
+                kids, i, skip = frame[3], i + 1, frame[6]
+                if skip is not None:
+                    while i < len(kids) and skip[kids[i].tag]:
+                        i += 1
                 if i < len(kids):
                     frame[4] = i
                     push(frame)
@@ -306,7 +354,7 @@ def _loop(node, t, regs, unpack):
                 body, t = frame[1].body(v), frame[2]
                 if body.context is not frame[1].ctx:  # usually the very same object
                     _same_context(frame[1].ctx, body.context)
-                node = body.run
+                node = _node(body)
                 break
             elif kind is _One and frame[1].tp:
                 kids, i = frame[3], frame[4]
@@ -356,12 +404,149 @@ def _unpacker(ctx):
     return unpack
 
 
+# Outcomes `_Outcomes` reads besides _TERM, _FAIL and constants: one it
+# cannot tell, and the first guess for a self-reference (see `_Outcomes`).
+_UNKNOWN = object()
+_ANY = object()
+
+
+def _same(a, b) -> bool:
+    return a is b or (type(a) is type(b) and a == b)
+
+
+class _Outcomes:
+    """What a strategy gives on any term that reaches none of `tags`.
+
+    `outcome(node, level)` is _TERM (the term itself), _FAIL, a constant
+    or _UNKNOWN, and `tags` collects the tags of the adhoc layers it
+    passes: such a term matches none of them.  `level` counts the all/one
+    nodes passed, each of which runs its strategy on smaller terms.
+
+    A _Ref is read twice.  The first pass guesses: met again below an
+    all/one, the _Ref is _ANY, which all and one read as if the term had
+    no kids.  The second pass checks: met again there, the _Ref is the
+    guess, and if its body then gives the guess, the guess holds by
+    induction on the size of the term.  Met again anywhere else, it is
+    _UNKNOWN.  _UNKNOWN absorbs every outcome it meets, so a known outcome
+    rests on no unchecked guess.  Steps, lets and msubsts are _UNKNOWN.
+    """
+
+    def __init__(self):
+        self.tags, self.guesses = set(), {}
+        # Nodes read; past it every outcome is _UNKNOWN.  Each pass over a
+        # _Ref reads the _Refs nested in it twice, so the count doubles with
+        # each level of nesting.
+        self.budget = 10_000
+
+    def outcome(self, node, level):
+        self.budget -= 1
+        if self.budget < 0 or not isinstance(node, _Node):
+            return _UNKNOWN
+        kind = type(node)
+        if kind is _Const:
+            return node.value
+        if kind is _Adhoc:
+            self.tags.update(node.steps)
+            return self.outcome(node.default, level)
+        if kind is _Seq:
+            first = self.outcome(node.first, level)
+            if first is _FAIL or first is _UNKNOWN or first is _ANY:
+                return first
+            if node.append is None:
+                return self.outcome(node.second, level) if first is _TERM else _UNKNOWN
+            second = self.outcome(node.second, level)
+            if second is _FAIL or second is _UNKNOWN or second is _ANY:
+                return second
+            if first is _TERM or second is _TERM:
+                return _UNKNOWN
+            return node.append(first, second)
+        if kind is _Choice:
+            first = self.outcome(node.first, level)
+            return self.outcome(node.second, level) if first is _FAIL else first
+        if kind is _All:
+            v = self.outcome(node.s, level + 1)
+            if node.append is None:
+                return _TERM if v is _TERM or v is _ANY else _UNKNOWN
+            return node.neutral if v is _ANY or _same(v, node.neutral) else _UNKNOWN
+        if kind is _One:
+            v = self.outcome(node.s, level + 1)
+            return _FAIL if v is _FAIL or v is _ANY else _UNKNOWN
+        if kind is _Ref:
+            if node in self.guesses:
+                entered, guess = self.guesses[node]
+                return guess if level > entered else _UNKNOWN
+            self.guesses[node] = (level, _ANY)
+            guess = self.outcome(node.body, level)
+            self.guesses[node] = (level, guess)
+            v = self.outcome(node.body, level) if guess is not _UNKNOWN else _UNKNOWN
+            del self.guesses[node]
+            return v if _same(v, guess) else _UNKNOWN
+        return _UNKNOWN
+
+
+class _Skips(dict):
+    """The kids an all/one node skips, by the datatype of the parent term.
+
+    Maps a tag to None when no kid of that datatype can be skipped, else
+    to a dict from each of its field datatypes to whether a kid of that
+    datatype is skipped: it is when it reaches none of `tags`.  Filled on
+    demand; a field datatype whose reach is not known yet is not skipped,
+    and the answer is not kept.
+    """
+
+    __slots__ = ("tags",)
+
+    def __init__(self, tags):
+        super().__init__()
+        self.tags = tags
+
+    def __missing__(self, tag):
+        skip, known = {}, True
+        for field in _entry(tag).field_types:
+            reach = _reach(field)
+            known = known and reach is not None
+            skip[field] = reach is not None and reach.isdisjoint(self.tags)
+        if not any(skip.values()):
+            skip = None
+        if known:
+            self[tag] = skip
+        return skip
+
+
+def _first_read(node, tag):
+    # Read the strategy of an _All or _One node on its first run on a term
+    # with kids (see the module docstring); set the node's `skips` and
+    # return its entry for `tag`, the datatype of that term.
+    reader = _Outcomes()
+    try:
+        v = reader.outcome(node.s, 0)
+        if type(node) is _One:
+            skips = v is _FAIL
+        else:
+            skips = v is _TERM if node.append is None else _same(v, node.neutral)
+    except Exception:  # a monoid's append or ==, or a strategy nested too deep
+        skips = False
+    node.skips = _Skips(frozenset(reader.tags)) if skips else None
+    return node.skips[tag] if skips else None
+
+
+def _node(s: Strategy):
+    # The node of `s`; one of another context is refused, as seq and
+    # choice refuse mixed contexts.
+    node = s.run
+    if isinstance(node, _Node) and node.ctx is not s.context:
+        _same_context(s.context, node.ctx)
+    return node
+
+
 def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
     # Tie the knot for a scheme: hand `define` a self-reference, of the kind
     # and context of `s`, before the body it refers to exists.
     ref = _Ref(s.context)
     rec = type(s)(s.context, ref)
-    ref.body = define(rec).run
+    body = define(rec)
+    _same_context(s.context, body.context)
+    ref.body = _node(body)
     return rec
 
 
@@ -397,6 +582,15 @@ def fail_tu(ctx: EffectContext) -> TU:
     return TU(ctx, _Const(_partial_context(ctx), _FAIL))
 
 
+def _adhoc(default, tag, step, tp):
+    # One node for a chain of adhoc layers: a layer over another of the same
+    # kind joins its dict, where the outer layer's step for a tag wins.
+    ctx, inner = default.context, _node(default)
+    if type(inner) is _Adhoc and inner.tp is tp:
+        return _Adhoc(ctx, inner.default, {**inner.steps, tag: step}, tp)
+    return _Adhoc(ctx, inner, {tag: step}, tp)
+
+
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
     """Customize a strategy at one datatype.
 
@@ -405,8 +599,7 @@ def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
     anything else the default strategy runs.  Nesting adhoc layers is
     fine: the most recently added customization is consulted first.
     """
-    ctx = default.context
-    return TP(ctx, _Adhoc(ctx, default.run, tag, step, True))
+    return TP(default.context, _adhoc(default, tag, step, True))
 
 
 def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
@@ -415,42 +608,47 @@ def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
     `step` receives the bare value and returns a computation of the
     result type.
     """
-    ctx = default.context
-    return TU(ctx, _Adhoc(ctx, default.run, tag, step, False))
+    return TU(default.context, _adhoc(default, tag, step, False))
 
 
 def seq_tp(first: TP, second: TP) -> TP:
     """Feed the output term of one transformation into another."""
     ctx = _same_context(first.context, second.context)
-    return TP(ctx, _Seq(ctx, first.run, second.run, None))
+    return TP(ctx, _Seq(ctx, _node(first), _node(second), None))
 
 
 def seq_tu(first: TP, second: TU) -> TU:
     """Transform, then analyse the transformed term."""
     ctx = _same_context(first.context, second.context)
-    return TU(ctx, _Seq(ctx, first.run, second.run, None))
+    return TU(ctx, _Seq(ctx, _node(first), _node(second), None))
+
+
+def _both(first: TU, second: TU, append: Callable) -> TU:
+    # Run both analyses on the same term, then `append` their results.
+    ctx = _same_context(first.context, second.context)
+    return TU(ctx, _Seq(ctx, _node(first), _node(second), append))
 
 
 def let_tp(analysis: TU, body: Callable[[Any], TP]) -> TP:
     """Run an analysis, then a transformation chosen from its result."""
-    return TP(analysis.context, _Let(analysis.context, analysis.run, body))
+    return TP(analysis.context, _Let(analysis.context, _node(analysis), body))
 
 
 def let_tu(analysis: TU, body: Callable[[Any], TU]) -> TU:
     """Run an analysis, then an analysis chosen from its result."""
-    return TU(analysis.context, _Let(analysis.context, analysis.run, body))
+    return TU(analysis.context, _Let(analysis.context, _node(analysis), body))
 
 
 def choice_tp(first: TP, second: TP) -> TP:
     """Committed choice: try one transformation, else the other."""
     ctx = _partial_context(_same_context(first.context, second.context))
-    return TP(ctx, _Choice(ctx, first.run, second.run))
+    return TP(ctx, _Choice(ctx, _node(first), _node(second)))
 
 
 def choice_tu(first: TU, second: TU) -> TU:
     """Committed choice between analyses."""
     ctx = _partial_context(_same_context(first.context, second.context))
-    return TU(ctx, _Choice(ctx, first.run, second.run))
+    return TU(ctx, _Choice(ctx, _node(first), _node(second)))
 
 
 def all_tp(s: TP) -> TP:
@@ -461,7 +659,7 @@ def all_tp(s: TP) -> TP:
     the input term itself is the result, so unchanged subterms are shared
     rather than copied.
     """
-    return TP(s.context, _All(s.context, s.run, None, None))
+    return TP(s.context, _All(s.context, _node(s), None, None))
 
 
 def all_tu(s: TU, monoid: Monoid) -> TU:
@@ -470,7 +668,7 @@ def all_tu(s: TU, monoid: Monoid) -> TU:
     The fold starts from the monoid's neutral element, so terms without
     children yield the neutral element.
     """
-    return TU(s.context, _All(s.context, s.run, monoid.append, monoid.neutral))
+    return TU(s.context, _All(s.context, _node(s), monoid.append, monoid.neutral))
 
 
 def one_tp(s: TP) -> TP:
@@ -480,19 +678,19 @@ def one_tp(s: TP) -> TP:
     success; terms without children fail.
     """
     ctx = _partial_context(s.context)
-    return TP(ctx, _One(ctx, s.run, True))
+    return TP(ctx, _One(ctx, _node(s), True))
 
 
 def one_tu(s: TU) -> TU:
     """Analyse the leftmost immediate subterm the strategy succeeds on."""
     ctx = _partial_context(s.context)
-    return TU(ctx, _One(ctx, s.run, False))
+    return TU(ctx, _One(ctx, _node(s), False))
 
 
 def _msubst(kind, morphism, s):
     if s.context != morphism.source:
         raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
-    return kind(morphism.target, _MSubst(morphism.target, morphism, s.run))
+    return kind(morphism.target, _MSubst(morphism.target, morphism, _node(s)))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:
@@ -532,10 +730,10 @@ def tu_ops(monoid: Monoid) -> OverloadedOps:
     into a deep collecting analysis.
     """
 
-    def seq(first: TU, second: TU) -> TU:
-        ctx = _same_context(first.context, second.context)
-        return TU(ctx, _Seq(ctx, first.run, second.run, monoid.append))
-
     return OverloadedOps(
-        seq, choice_tu, lambda s: all_tu(s, monoid), one_tu, adhoc_tu
+        lambda first, second: _both(first, second, monoid.append),
+        choice_tu,
+        lambda s: all_tu(s, monoid),
+        one_tu,
+        adhoc_tu,
     )

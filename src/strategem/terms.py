@@ -109,11 +109,12 @@ class TypeTag:
     datatype equality.
     """
 
-    __slots__ = ("name", "_entry")
+    __slots__ = ("name", "_entry", "_reach")
 
     def __init__(self, name: str):
         self.name = name
         self._entry = None
+        self._reach = None
 
     def __repr__(self):
         return f"TypeTag({self.name})"
@@ -164,6 +165,33 @@ def _entry(tag: TypeTag):
     if tag._entry is None:
         raise UnregisteredType(f"datatype {tag.name} was declared but never defined")
     return tag._entry
+
+
+def _closure(tags) -> set:
+    # The datatypes `tags` reach through `field_types`, themselves included;
+    # raises UnregisteredType on one declared but never defined.
+    seen, pending = set(tags), list(tags)
+    while pending:
+        for field in _entry(pending.pop()).field_types:
+            if field not in seen:
+                seen.add(field)
+                pending.append(field)
+    return seen
+
+
+def _reach(tag: TypeTag):
+    """The datatypes a term of `tag` can hold at any depth, `tag` included.
+
+    None while the walk meets a datatype declared but not yet defined,
+    whose fields are still unknown; a complete set never changes, since a
+    definition is final, so it is cached on the tag.
+    """
+    if tag._reach is None:
+        try:
+            tag._reach = frozenset(_closure((tag,)))
+        except UnregisteredType:
+            return None
+    return tag._reach
 
 
 class _Entry:
@@ -599,13 +627,7 @@ class Registry:
 
     def freeze(self) -> None:
         """Refuse further definitions after checking the closure property."""
-        seen = set()
-        pending = list(self._by_name.values())
-        while pending:
-            tag = pending.pop()
-            if tag not in seen:
-                seen.add(tag)
-                pending.extend(_entry(tag).field_types)
+        _closure(self._by_name.values())
         self._frozen = True
 
     @property

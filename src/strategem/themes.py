@@ -27,6 +27,7 @@ appends their results; `select` is `once_td` at an analysis.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Any, Callable
 
 from .effects import Monoid, SET_UNION, StateOver, unlift_state
@@ -34,11 +35,11 @@ from .strategies import (
     TP,
     TU,
     OverloadedOps,
+    _both,
     _msubst,
     _recursive,
     all_tp,
     all_tu,
-    build_tu,
     choice_tp,
     choice_tu,
     identity_tp,
@@ -167,23 +168,13 @@ def free_names(refs: TU, decs: TU) -> TU:
     `refs` yields the names a node itself mentions, `decs` the names the
     node binds for everything below it; both must be total and return
     sets.  A node's free names are its own and its children's, minus what
-    it binds.
+    it binds: (refs | free names below) - decs, each part read at the
+    same node.
     """
-    ctx = refs.context
-
-    def define(rec):
-        below = all_tu(rec, SET_UNION)
-        return let_tu(
-            refs,
-            lambda used: let_tu(
-                below,
-                lambda under: let_tu(
-                    decs, lambda bound: build_tu(ctx, (used | under) - bound)
-                ),
-            ),
-        )
-
-    return _recursive(refs, define)
+    union = SET_UNION.append
+    return _recursive(
+        refs, lambda rec: _both(_both(refs, all_tu(rec, SET_UNION), union), decs, sub)
+    )
 
 
 def traverse_meta(combine: Callable, descend: Callable, s):

@@ -33,7 +33,7 @@ from strategem.analyses import (
     to_alias,
     type_token,
 )
-from strategem.effects import IDENTITY, NOTHING, Just
+from strategem.effects import IDENTITY, INT_SUM, NOTHING, SET_UNION, Just
 from strategem.minilang import (
     DECL,
     EXPR,
@@ -45,16 +45,19 @@ from strategem.minilang import (
     Lam,
     Let,
     LitInt,
+    Module,
     PCon,
     PVar,
     TyCon,
+    TypeSyn,
     Var,
     parse,
     pretty,
     to_term,
 )
-from strategem.strategies import apply
+from strategem.strategies import TU, adhoc_tu, apply, build_tu, let_tu
 from strategem.terms import BOOL, INT, STR, cast, list_of, pair_of, term
+from strategem.themes import crush
 
 CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -336,3 +339,35 @@ def test_count_of_type_counts_type_nodes():
     for name in ("data.ml0", "syn.ml0", "tyfocus.ml0", "funs.ml0"):
         m = load(name)
         assert count_of_type(type_token(TYPE), to_term(m)) == count_type_nodes(m)
+
+
+# Pruning: a traversal does not enter a subterm whose datatype reaches no
+# tag of its adhoc layers.
+
+
+class Opaque:
+    """A value of no registered class: `children` raises on a term holding it."""
+
+
+def test_count_of_type_never_enters_what_cannot_hold_the_datatype():
+    # Patterns, expressions and types hold no declaration.
+    m = Module("M", (FunBind("f", (Opaque(),), Opaque()), TypeSyn("T", Opaque())))
+    assert count_of_type(type_token(DECL), to_term(m)) == 2
+
+    def one(_decl):
+        return IDENTITY.pure(1)
+
+    opaque = adhoc_tu(TU(IDENTITY, lambda _t: IDENTITY.pure(0)), DECL, one)
+    with_let = adhoc_tu(let_tu(build_tu(IDENTITY, 0), lambda n: build_tu(IDENTITY, n)), DECL, one)
+    for tick in (opaque, with_let):
+        with pytest.raises(KeyError):
+            apply(crush(tick, INT_SUM), to_term(m))
+
+
+def test_all_types_never_enters_what_cannot_hold_a_type():
+    # Patterns and expressions hold no type; a synonym's right-hand side does.
+    m = Module("M", (FunBind("f", (Opaque(),), Opaque()), TypeSyn("T", TyCon("Int"))))
+    assert all_types(m) == {"T", "Int"}
+    opaque = TU(IDENTITY, lambda t: apply(any_types, t))
+    with pytest.raises(KeyError):
+        apply(crush(opaque, SET_UNION), to_term(m))

@@ -111,6 +111,13 @@ def test_adhoc_most_recent_customization_wins():
     s2 = adhoc_tp(base, STR, lambda v: IDENTITY.pure(v + "!"))
     assert apply(s2, term(4)) == term(5)
     assert apply(s2, term("a")) == term("a!")
+    # The same over a layer at another datatype, and inside a traversal.
+    s3 = adhoc_tp(s2, INT, lambda v: IDENTITY.pure(v * 10))
+    t = term([(4, "a")], list_of(pair_of(INT, STR)))
+    assert apply(topdown(s3), t).value == [(40, "a!")]
+    u = adhoc_tu(build_tu(IDENTITY, 0), INT, lambda v: IDENTITY.pure(1))
+    u = adhoc_tu(adhoc_tu(u, STR, lambda v: IDENTITY.pure(2)), INT, lambda v: IDENTITY.pure(3))
+    assert (apply(u, term(4)), apply(u, term("a")), apply(u, term(True))) == (3, 2, 0)
 
 
 def test_adhoc_on_node_datatype_sees_bare_value():
@@ -223,6 +230,21 @@ def test_mixed_contexts_are_rejected():
         choice_tu(build_tu(PARTIAL, 0), build_tu(PARTIAL_STATE, 0))
 
 
+def test_a_node_of_another_context_is_refused():
+    # A strategy whose `run` is taken from a strategy of another context.
+    foreign = TP(IDENTITY, fail_tp(PARTIAL).run)
+    with pytest.raises(ValueError, match="mixed effect contexts"):
+        apply(foreign, term(1))
+    with pytest.raises(ValueError, match="mixed effect contexts"):
+        run_state(apply(TU(STATE, build_tu(IDENTITY, 0).run), term(1)), 0)
+    for build in (all_tp, topdown, lambda s: adhoc_tp(s, INT, IDENTITY.pure)):
+        with pytest.raises(ValueError, match="mixed effect contexts"):
+            build(foreign)
+    # An equal context is the same context.
+    same = TP(StateOver(IDENTITY), identity_tp(STATE).run)
+    assert run_state(apply(topdown(same), term(1)), 0) == (term(1), 0)
+
+
 def test_all_tp_rewrites_each_child_once():
     s = all_tp(inc_int(identity_tp(IDENTITY)))
     # One layer only: the head is an Int child, the tail is a sequence child.
@@ -273,6 +295,15 @@ def test_one_stops_probing_after_a_success():
     out = apply(s, term((1, 2), pair_of(INT, INT)))
     assert out == Just(1)
     assert probed == [1]
+
+
+def test_all_and_one_over_strategies_that_act_below_the_kids():
+    # No adhoc layer anywhere, so no kid reaches one; each kid is still
+    # entered, since the inner all/one acts on the kid's own children.
+    t = term([[1]], list_of(list_of(INT)))
+    assert apply(all_tp(all_tp(fail_tp(PARTIAL))), t) is NOTHING
+    assert apply(all_tu(all_tu(build_tu(IDENTITY, 1), INT_SUM), INT_SUM), t) == 2
+    assert apply(one_tp(one_tp(identity_tp(PARTIAL))), t) == Just(t)
 
 
 def test_all_tu_threads_state_left_to_right():

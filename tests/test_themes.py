@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gen_terms
 from oracles import collect_ints, collect_strings, first_success, preorder
 from strategem.effects import (
     IDENTITY,
+    INT_SUM,
     LIST_CONCAT,
     NOTHING,
     PARTIAL,
@@ -17,11 +22,18 @@ from strategem.effects import (
     SET_UNION,
     STATE,
     Just,
+    Monoid,
     StateOver,
     run_state,
+    supports_failure,
+    supports_state,
 )
 from strategem.minilang import (
+    DECL,
     EXPR,
+    MODULE,
+    PATTERN,
+    TYPE,
     App,
     Lam,
     Let,
@@ -36,15 +48,30 @@ from strategem.strategies import (
     TU,
     adhoc_tp,
     adhoc_tu,
+    all_tp,
+    all_tu,
     apply,
     build_tu,
     fail_tp,
     fail_tu,
     identity_tp,
+    one_tp,
     tp_ops,
     tu_ops,
 )
-from strategem.terms import INT, STR, Registry, children, list_of, pair_of, term
+from strategem.terms import (
+    BOOL,
+    INT,
+    STR,
+    Registry,
+    UnregisteredType,
+    children,
+    list_of,
+    optional_of,
+    pair_of,
+    register_descriptors,
+    term,
+)
 from strategem.themes import (
     bottomup,
     crush,
@@ -465,3 +492,219 @@ def test_local_state_over_partial():
     assert isinstance(s.context, StateOver) is False
     out = apply(s, nested_pair())
     assert out == Just(term((5, ([6], 7)), nested_pair().tag))
+
+
+# Pruning: a traversal skips the subterms whose datatype reaches no tag of
+# its adhoc layers, where its strategy is known to give what skipping gives.
+
+
+@dataclass(frozen=True)
+class Box:
+    inner: object
+
+
+@dataclass(frozen=True)
+class Wrap:
+    leaf: object
+
+
+@dataclass(frozen=True)
+class Leaf:
+    n: int
+
+
+def test_an_undefined_datatype_prunes_nothing_until_defined():
+    reg = Registry()
+    box, wrap, leaf = (reg.declare(name) for name in ("Box", "Wrap", "Leaf"))
+    reg.define(box, [(Box, (wrap,))])
+    count = crush(adhoc_tu(build_tu(IDENTITY, 0), leaf, lambda _v: IDENTITY.pure(1)), INT_SUM)
+    t = reg.term(Box(Wrap(Leaf(1))))
+    # What Wrap holds is not known yet, so the traversal enters it.
+    with pytest.raises(UnregisteredType):
+        apply(count, t)
+    reg.define(wrap, [(Wrap, (leaf,))])
+    reg.define(leaf, [(Leaf, (INT,))])
+    assert apply(count, t) == 1
+
+
+def test_a_guess_that_holds_only_at_leaves_prunes_nothing():
+    # rec = -1 + the product of rec over the kids: 0 at a leaf, -1 at a
+    # node whose kids are leaves; a sum of rec over the kids enters each.
+    product = Monoid(1, operator.mul)
+    rec = traverse_meta(
+        tu_ops(INT_SUM).seq, lambda r: all_tu(r, product), build_tu(IDENTITY, -1)
+    )
+    t = term([[1], []], list_of(list_of(INT)))
+    assert apply(all_tu(rec, INT_SUM), t) == -2
+
+
+# Pruned and unpruned runs agree.  The unpruned run is the same strategy
+# with its default written as a step, which the pruning analysis cannot
+# read, so it skips nothing.
+
+_TREES = Registry()
+_TREE_TAGS, _TREE_CLASSES = register_descriptors(
+    _TREES,
+    """
+    Tree.Leaf : Int
+    Tree.Tip :
+    Tree.Node : Tree Str Tree
+    Tree.Bag : List(Opt(Tree)) Pair(Bool,Int)
+    """,
+)
+_TREES.freeze()
+TREE = _TREE_TAGS["Tree"]
+_T = {con: cls for (_, con), cls in _TREE_CLASSES.items()}
+
+_small_ints = st.integers(-3, 40)
+_trees = st.recursive(
+    st.builds(_T["Leaf"], _small_ints) | st.builds(_T["Tip"]),
+    lambda inner: st.builds(_T["Node"], inner, st.text("ab", max_size=2), inner)
+    | st.builds(
+        _T["Bag"],
+        st.lists(st.none() | inner, max_size=3),
+        st.tuples(st.booleans(), _small_ints),
+    ),
+    max_leaves=8,
+)
+
+_terms = st.one_of(
+    st.one_of(gen_terms.modules, gen_terms.decls, gen_terms.exprs, gen_terms.types).map(to_term),
+    st.lists(st.tuples(st.booleans(), _small_ints)).map(
+        lambda v: term(v, list_of(pair_of(BOOL, INT)))
+    ),
+    st.lists(st.none() | _small_ints).map(lambda v: term(v, list_of(optional_of(INT)))),
+    st.tuples(
+        st.text("xy", max_size=3), st.lists(st.lists(_small_ints, max_size=3), max_size=3)
+    ).map(lambda v: term(v, pair_of(STR, list_of(list_of(INT))))),
+    _trees.map(lambda v: term(v, TREE)),
+)
+
+_TARGETS = (INT, STR, BOOL, MODULE, DECL, EXPR, TYPE, PATTERN, TREE)
+
+
+def _identity(ctx, opaque):
+    return TP(ctx, ctx.pure) if opaque else identity_tp(ctx)
+
+
+def _build(value):
+    def default(ctx, opaque):
+        return TU(ctx, lambda _t: ctx.pure(value)) if opaque else build_tu(ctx, value)
+
+    return default
+
+
+def _fail(kind):
+    def default(ctx, opaque):
+        if opaque:
+            return kind(ctx, lambda _t: ctx.zero())
+        return fail_tp(ctx) if kind is TP else fail_tu(ctx)
+
+    return default
+
+
+def _layers(default, tags, fn):
+    # One adhoc layer per tag, each running `fn(value, calls so far)`: a
+    # state context counts the calls, and None from `fn` is failure.
+    ctx = default.context
+    adhoc = adhoc_tp if isinstance(default, TP) else adhoc_tu
+
+    def result(v, n):
+        out = fn(v, n)
+        return ctx.zero() if out is None else ctx.pure(out)
+
+    def step(v):
+        if not supports_state(ctx):
+            return result(v, 0)
+        return ctx.bind(ctx.get(), lambda n: ctx.bind(ctx.put(n + 1), lambda _: result(v, n)))
+
+    s = default
+    for tag in tags:
+        s = adhoc(s, tag, step)
+    return s
+
+
+def _size(v):
+    return len(repr(v))
+
+
+def _bump(v, n):
+    # A value of the same datatype, changed where that is easy.
+    if type(v) is bool:
+        return not v
+    if type(v) is int:
+        return v + 1 + n
+    if type(v) is str:
+        return v + "'"
+    return v
+
+
+def _shrink(v, n):
+    # A terminating rewrite rule for innermost; it fails on everything else.
+    if type(v) is bool:
+        return False if v else None
+    if type(v) is int:
+        return v // 2 if v > 0 else None
+    if type(v) is str:
+        return v[1:] if v else None
+    return None
+
+
+def _partly(fn):
+    # `fn` where the value's repr has a length not divisible by 3, else failure.
+    return lambda v, n: fn(v, n) if _size(v) % 3 else None
+
+
+def _count(v, n):
+    return _size(v) + n
+
+
+def _bucket(v, n):
+    return frozenset({(_size(v) + n) % 11})
+
+
+# name: (needs failure, default, step, scheme); the step's layers go over
+# the default, the scheme over the layers.
+_SCHEMES = {
+    "topdown": (False, _identity, _bump, topdown),
+    "topdown-partly": (True, _identity, _partly(_bump), topdown),
+    "bottomup": (False, _identity, _bump, bottomup),
+    "crush-sum": (False, _build(0), _count, lambda s: crush(s, INT_SUM)),
+    "crush-union": (False, _build(frozenset()), _bucket, lambda s: crush(s, SET_UNION)),
+    "once_td": (True, _fail(TP), _partly(_bump), once_td),
+    "stop_td": (True, _fail(TP), _partly(_bump), stop_td),
+    "stop_td_tu": (True, _fail(TU), _partly(_count), lambda s: stop_td_tu(s, INT_SUM)),
+    "innermost": (True, _fail(TP), _shrink, innermost),
+    "select": (True, _fail(TU), _partly(_count), select),
+    "free_names": (False, _build(frozenset()), _bucket, lambda s: free_names(s, s)),
+    # Where a skipped subterm would not give what skipping gives.
+    "crush-count": (False, _build(1), _count, lambda s: crush(s, INT_SUM)),
+    "topdown-fail": (True, _fail(TP), _bump, topdown),
+    "all-all-fail": (True, _fail(TP), _bump, lambda s: all_tp(all_tp(s))),
+    "all-all-count": (False, _build(1), _count, lambda s: all_tu(all_tu(s, INT_SUM), INT_SUM)),
+    "one-one": (True, _identity, _bump, lambda s: one_tp(one_tp(s))),
+}
+
+_CASES = [
+    (name, ctx)
+    for name, (needs_failure, *_) in _SCHEMES.items()
+    for ctx in (IDENTITY, PARTIAL, STATE, PARTIAL_STATE)
+    if supports_failure(ctx) or not needs_failure
+]
+
+
+def _outcome(s, t):
+    got = apply(s, t)
+    return run_state(got, 0) if supports_state(s.context) else got
+
+
+@settings(deadline=None)
+@given(t=_terms, tags=st.lists(st.sampled_from(_TARGETS), min_size=1, max_size=2, unique=True))
+def test_pruned_and_unpruned_runs_agree(t, tags):
+    for name, ctx in _CASES:
+        _, default, step, scheme = _SCHEMES[name]
+        pruned, unpruned = (
+            _outcome(scheme(_layers(default(ctx, opaque), tags, step)), t)
+            for opaque in (False, True)
+        )
+        assert pruned == unpruned, (name, ctx)
