@@ -7,14 +7,16 @@ print their result, one item per line for name sets, sorted.  The
 structured format prints one JSON document with the fields `command`,
 `input` and `result`.  Exit status: 0 on success, 1 when an analysis or
 guard fails (for example no focus), 2 on a syntax error, which is
-reported with line and column on stderr, and 2 on a file that cannot be
-read or is not ASCII text.
+reported with line and column on stderr, 2 on a file that cannot be
+read or is not ASCII text, and 2 when the output cannot be written, for
+example to a pipe its reader has closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analyses import (
@@ -110,11 +112,21 @@ def main(argv=None) -> int:
     except (NoFocus, NoSuchAlias, GuardFailed) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if args.format == "structured":
-        doc = {"command": args.command, "input": args.file, "result": result}
-        print(json.dumps(doc, indent=2))
-    else:
-        _print_text(result)
+    try:
+        if args.format == "structured":
+            doc = {"command": args.command, "input": args.file, "result": result}
+            print(json.dumps(doc, indent=2))
+        else:
+            _print_text(result)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Send what is still buffered to the null device, so the flush at
+        # interpreter exit fails no second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"<stdout>: write failed: {exc.strerror}", file=sys.stderr)
+        return 2
     return 0
 
 

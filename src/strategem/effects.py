@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 __all__ = [
@@ -246,15 +247,31 @@ INT_SUM = Monoid(0, operator.add)
 
 @dataclass(frozen=True)
 class EffectMorphism:
-    """A mapping between effect contexts that preserves pure values."""
+    """A mapping between effect contexts that preserves pure values.
+
+    `msubst` runs a strategy moved along one of the three below in the
+    loop around it, knowing it by its `run`; along any other it nests a loop.
+    """
 
     source: EffectContext
     target: EffectContext
     run: Callable[[Any], Any]
 
 
+def _unchanged(comp):
+    return comp
+
+
+def _recover(default, comp):
+    return comp.value if isinstance(comp, Just) else default
+
+
+def _unlift(inner, initial, comp):
+    return inner.bind(comp(initial), lambda pair: inner.pure(pair[0]))
+
+
 def identity_morphism(ctx: EffectContext) -> EffectMorphism:
-    return EffectMorphism(ctx, ctx, lambda comp: comp)
+    return EffectMorphism(ctx, ctx, _unchanged)
 
 
 def partial_to_identity(default) -> EffectMorphism:
@@ -263,9 +280,7 @@ def partial_to_identity(default) -> EffectMorphism:
     Meant for strategies that cannot actually fail any more, for example
     after wrapping in a recovery combinator; the default then never shows.
     """
-    return EffectMorphism(
-        PARTIAL, IDENTITY, lambda comp: comp.value if isinstance(comp, Just) else default
-    )
+    return EffectMorphism(PARTIAL, IDENTITY, partial(_recover, default))
 
 
 def unlift_state(ctx: StateOver, initial) -> EffectMorphism:
@@ -276,9 +291,4 @@ def unlift_state(ctx: StateOver, initial) -> EffectMorphism:
     """
     if not isinstance(ctx, StateOver):
         raise TypeError(f"unlift_state needs a state context, got {ctx!r}")
-    inner = ctx.inner
-
-    def run(comp):
-        return inner.bind(comp(initial), lambda pair: inner.pure(pair[0]))
-
-    return EffectMorphism(ctx, inner, run)
+    return EffectMorphism(ctx, ctx.inner, partial(_unlift, ctx.inner, initial))

@@ -39,14 +39,18 @@ whose value it is, as `identity_tp` and `build_tu` are constant nodes.
 The states of a state context are a register tuple, which `choice` and
 `one` save and restore when a branch fails.  A `TP(ctx, fn)` or
 `TU(ctx, fn)` made from a function is a step: the loop calls it and
-unpacks the computation it returns.  A node is callable, so `s.run(t)` is
-`apply(s, t)`.  The strategy a `let` body returns must live in the let's
-context; the loop checks this when the body is chosen, and raises the
-`ValueError` that `seq` and `choice` raise at construction.
+reads its computation in its own context, as it reads an adhoc step's.
+A node is callable, so `s.run(t)` is `apply(s, t)`.  The strategy a
+`let` body returns must live in the let's context; the loop checks this
+when the body is chosen, and raises the `ValueError` that `seq` and
+`choice` raise at construction.
 
 In a state context `apply` returns a computation that runs nothing until
-it is given a state.  `msubst` runs its strategy in a nested loop, so a
-recursion through `msubst` is bounded by the Python stack again.
+it is given a state.  Along a library morphism `msubst` is a node: the
+strategy's own, a choice of it and the default, or one that puts the
+initial state in front of the register.  Along any other it is a step
+that applies the strategy in a nested loop, so a recursion through it
+is bounded by the Python stack again.
 
 Nested adhoc layers collapse into one node holding a dict from tag to
 step, so a chain dispatches with one lookup.  A traversal skips the
@@ -57,10 +61,10 @@ Where that outcome is what skipping gives (the term itself under
 `all_tp`, the monoid's neutral element under `all_tu`, failure under
 `one`), a kid of such a datatype is not entered: `all_tp` keeps it,
 `all_tu` appends nothing for it and `one` counts it as a failure.  The
-outcome cannot be read through a `let`, an `msubst` or a step function,
-so any of them where the strategy would run on the kid switches pruning
-off for that node.  A datatype declared but not yet defined may reach
-anything, so it is always entered.
+outcome cannot be read through a `let` or a step, such as an `msubst`
+along a user-written morphism, so any of them where the strategy would
+run on the kid switches pruning off for that node.  A datatype declared
+but not yet defined may reach anything, so it is always entered.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from .effects import (
     StateOver,
     supports_failure,
 )
+from .effects import _recover, _unchanged, _unlift
 from .terms import Term, TypeTag, _entry, _reach, children, rebuild, term
 
 __all__ = [
@@ -163,11 +168,19 @@ class _Const(_Node):
 
 class _Adhoc(_Node):
     # `steps` maps each tag of a chain of adhoc layers to its step; `tp`:
-    # wrap the step's value as a term.
-    __slots__ = ("default", "steps", "tp")
+    # wrap the step's value as a term; `read`: see `_reader`.
+    __slots__ = ("default", "steps", "tp", "read")
 
     def __init__(self, ctx, default, steps, tp):
         self.ctx, self.default, self.steps, self.tp = ctx, default, steps, tp
+        self.read = _reader(ctx)
+
+
+class _Step(_Node):
+    __slots__ = ("fn", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn)
+
+    def __init__(self, ctx, fn):
+        self.ctx, self.fn, self.read = ctx, fn, _reader(ctx)
 
 
 class _Seq(_Node):
@@ -214,11 +227,11 @@ class _One(_Node):
         self.skips = _UNREAD
 
 
-class _MSubst(_Node):
-    __slots__ = ("morphism", "s")
+class _Unlift(_Node):
+    __slots__ = ("s", "initial")  # `s` moved along unlift_state(_, initial)
 
-    def __init__(self, ctx, morphism, s):
-        self.ctx, self.morphism, self.s = ctx, morphism, s
+    def __init__(self, ctx, s, initial):
+        self.ctx, self.s, self.initial = ctx, s, initial
 
 
 class _Ref(_Node):
@@ -229,18 +242,17 @@ class _Ref(_Node):
 _APPEND = object()
 
 
-def _loop(node, t, regs, unpack):
+def _loop(node, t, regs):
     """Run `node` at `t` from the state register `regs`.
 
-    Returns the value, or _FAIL, and the register after it.  `unpack`
-    reads a step's computation against the register.  Frames pending a
-    value: (_Seq, node, t) and (_APPEND, append, first result); (_Let,
-    node, t); (_Choice, second, t, regs) and [_One, node, t, kids, i,
-    regs, skip], which take over on failure; [_All, node, t, kids, i,
-    results, skip].  `skip` is the node's `skips` for the datatype of `t`:
-    None, or whether to pass over a kid, by its tag.  all_tp keeps a kid
-    it passes over as it is, all_tu appends nothing for it, one counts it
-    as a failure.
+    Returns the value, or _FAIL, and the register after it.  Frames
+    pending a value: (_Seq, node, t) and (_APPEND, append, first result);
+    (_Let, node, t); (_Unlift,), which drops the first state; (_Choice,
+    second, t, regs) and [_One, node, t, kids, i, regs, skip], which take
+    over on failure; [_All, node, t, kids, i, results, skip].  `skip` is
+    the node's `skips` for the datatype of `t`: None, or whether to pass
+    over a kid, by its tag.  all_tp keeps a kid it passes over as it is,
+    all_tu appends nothing for it, one counts it as a failure.
     """
     stack = []
     push, pop = stack.append, stack.pop
@@ -256,7 +268,7 @@ def _loop(node, t, regs, unpack):
             elif kind is _Adhoc:
                 step = node.steps.get(t.tag)
                 if step is not None:
-                    v, regs = unpack(step(t.value), regs)
+                    v, regs = node.read(step(t.value), regs)
                     if node.tp and v is not _FAIL:
                         v = term(v, t.tag)
                     break
@@ -298,11 +310,11 @@ def _loop(node, t, regs, unpack):
             elif kind is _Let:
                 push((_Let, node, t))
                 node = node.analysis
-            elif kind is _MSubst:
-                v, regs = unpack(node.morphism.run(node.s(t)), regs)
-                break
+            elif kind is _Unlift:
+                push((_Unlift,))
+                regs, node = (node.initial, *regs), node.s
             else:
-                v, regs = unpack(node(t), regs)
+                v, regs = node.read(node.fn(t), regs)
                 break
         # Ascend: hand `v` to pending frames until one descends again.
         while stack:
@@ -356,6 +368,8 @@ def _loop(node, t, regs, unpack):
                     _same_context(frame[1].ctx, body.context)
                 node = _node(body)
                 break
+            elif kind is _Unlift:
+                regs = regs[1:]
             elif kind is _One and frame[1].tp:
                 kids, i = frame[3], frame[4]
                 v = rebuild(frame[2], kids[:i] + (v,) + kids[i + 1 :])
@@ -364,14 +378,17 @@ def _loop(node, t, regs, unpack):
             return v, regs
 
 
-def _run(ctx, node, t, unpack=None, regs=()):
-    # The computation of `ctx` that runs `node` (a node or a step) at `t`.
-    # A StateOver layer takes its state before anything runs; the loop's
-    # result, paired with each final state, is packed by the inner context.
-    unpack = unpack or _unpacker(ctx)
+def _run(ctx, node, t, regs=()):
+    # The computation of `ctx` running `node` at `t`: a StateOver layer takes
+    # its state first, and the inner context packs the result with the states.
+    base = ctx
+    while type(base) is StateOver:
+        base = base.inner
+    if type(base) is not Identity and type(base) is not Partial:
+        raise TypeError(f"strategies run in Identity, Partial or StateOver over those, not {base!r}")
     if type(ctx) is StateOver:
-        return lambda s: _run(ctx.inner, node, t, unpack, regs + (s,))
-    v, regs = _loop(node, t, regs, unpack)
+        return lambda s: _run(ctx.inner, node, t, regs + (s,))
+    v, regs = _loop(node, t, regs)
     if v is _FAIL:
         return ctx.zero()
     for s in regs:
@@ -379,7 +396,7 @@ def _run(ctx, node, t, unpack=None, regs=()):
     return ctx.pure(v)
 
 
-def _unpacker(ctx):
+def _reader(ctx):
     """How the loop reads a computation of `ctx`: (comp, regs) -> (value, regs).
 
     The value is _FAIL where the computation fails.  A StateOver layer
@@ -387,21 +404,19 @@ def _unpacker(ctx):
     the inner computation it returns against the rest.
     """
     kind = type(ctx)
-    if kind is Identity:
-        return lambda comp, regs: (comp, regs)
     if kind is Partial:
         return lambda comp, regs: ((comp.value if isinstance(comp, Just) else _FAIL), regs)
-    if kind is not StateOver:
-        raise TypeError(f"strategies run in Identity, Partial or StateOver over those, not {ctx!r}")
-    inner = _unpacker(ctx.inner)
+    if kind is not StateOver:  # Identity; `_run` refuses any other class first
+        return lambda comp, regs: (comp, regs)
+    inner = _reader(ctx.inner)
 
-    def unpack(comp, regs):
+    def read(comp, regs):
         pair, rest = inner(comp(regs[0]), regs[1:])
         if pair is _FAIL:
             return _FAIL, regs
         return pair[0], (pair[1], *rest)
 
-    return unpack
+    return read
 
 
 # Outcomes `_Outcomes` reads besides _TERM, _FAIL and constants: one it
@@ -428,7 +443,7 @@ class _Outcomes:
     guess, and if its body then gives the guess, the guess holds by
     induction on the size of the term.  Met again anywhere else, it is
     _UNKNOWN.  _UNKNOWN absorbs every outcome it meets, so a known outcome
-    rests on no unchecked guess.  Steps, lets and msubsts are _UNKNOWN.
+    rests on no unchecked guess.  Steps and lets are _UNKNOWN.
     """
 
     def __init__(self):
@@ -440,7 +455,7 @@ class _Outcomes:
 
     def outcome(self, node, level):
         self.budget -= 1
-        if self.budget < 0 or not isinstance(node, _Node):
+        if self.budget < 0:
             return _UNKNOWN
         kind = type(node)
         if kind is _Const:
@@ -471,6 +486,8 @@ class _Outcomes:
         if kind is _One:
             v = self.outcome(node.s, level + 1)
             return _FAIL if v is _FAIL or v is _ANY else _UNKNOWN
+        if kind is _Unlift:
+            return self.outcome(node.s, level)
         if kind is _Ref:
             if node in self.guesses:
                 entered, guess = self.guesses[node]
@@ -531,10 +548,10 @@ def _first_read(node, tag):
 
 
 def _node(s: Strategy):
-    # The node of `s`; one of another context is refused, as seq and
-    # choice refuse mixed contexts.
-    node = s.run
-    if isinstance(node, _Node) and node.ctx is not s.context:
+    # The node of `s`, a step around a function; one of another context is
+    # refused, as seq and choice refuse mixed contexts.
+    node = s.run if isinstance(s.run, _Node) else _Step(s.context, s.run)
+    if node.ctx is not s.context:
         _same_context(s.context, node.ctx)
     return node
 
@@ -690,7 +707,15 @@ def one_tu(s: TU) -> TU:
 def _msubst(kind, morphism, s):
     if s.context != morphism.source:
         raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
-    return kind(morphism.target, _MSubst(morphism.target, morphism, _node(s)))
+    ctx, node, run = morphism.target, _node(s), morphism.run
+    func = getattr(run, "func", run)  # a library morphism's, bound by partial
+    if func is _recover:
+        return kind(ctx, _Choice(ctx, node, _Const(ctx, run.args[0])))
+    if func is _unlift:
+        return kind(ctx, _Unlift(ctx, node, run.args[1]))
+    if func is _unchanged:
+        return kind(ctx, node)
+    return kind(ctx, _Step(ctx, lambda t: run(_run(morphism.source, node, t))))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:

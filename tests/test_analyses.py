@@ -33,7 +33,18 @@ from strategem.analyses import (
     to_alias,
     type_token,
 )
-from strategem.effects import IDENTITY, INT_SUM, NOTHING, SET_UNION, Just
+from strategem.effects import (
+    IDENTITY,
+    INT_SUM,
+    NOTHING,
+    SET_UNION,
+    STATE,
+    EffectMorphism,
+    Just,
+    identity_morphism,
+    partial_to_identity,
+    unlift_state,
+)
 from strategem.minilang import (
     DECL,
     EXPR,
@@ -55,7 +66,7 @@ from strategem.minilang import (
     pretty,
     to_term,
 )
-from strategem.strategies import TU, adhoc_tu, apply, build_tu, let_tu
+from strategem.strategies import TU, adhoc_tu, apply, build_tu, let_tu, msubst_tu
 from strategem.terms import BOOL, INT, STR, cast, list_of, pair_of, term
 from strategem.themes import crush
 
@@ -349,6 +360,10 @@ class Opaque:
     """A value of no registered class: `children` raises on a term holding it."""
 
 
+def _tick(ctx):
+    return adhoc_tu(build_tu(ctx, 0), DECL, lambda _decl: ctx.pure(1))
+
+
 def test_count_of_type_never_enters_what_cannot_hold_the_datatype():
     # Patterns, expressions and types hold no declaration.
     m = Module("M", (FunBind("f", (Opaque(),), Opaque()), TypeSyn("T", Opaque())))
@@ -359,9 +374,16 @@ def test_count_of_type_never_enters_what_cannot_hold_the_datatype():
 
     opaque = adhoc_tu(TU(IDENTITY, lambda _t: IDENTITY.pure(0)), DECL, one)
     with_let = adhoc_tu(let_tu(build_tu(IDENTITY, 0), lambda n: build_tu(IDENTITY, n)), DECL, one)
-    for tick in (opaque, with_let):
+    # The same tick moved along a morphism the library does not know.
+    user = msubst_tu(EffectMorphism(IDENTITY, IDENTITY, lambda comp: comp), _tick(IDENTITY))
+    for tick in (opaque, with_let, user):
         with pytest.raises(KeyError):
             apply(crush(tick, INT_SUM), to_term(m))
+    # Along a library morphism the tick runs in the traversal's loop, which
+    # reads it and still skips what holds no declaration.
+    for morphism in (identity_morphism(IDENTITY), partial_to_identity(0), unlift_state(STATE, 0)):
+        tick = msubst_tu(morphism, _tick(morphism.source))
+        assert apply(crush(tick, INT_SUM), to_term(m)) == 2
 
 
 def test_all_types_never_enters_what_cannot_hold_a_type():

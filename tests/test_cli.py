@@ -275,3 +275,24 @@ def test_python_dash_m_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout == "F\nInt\nL\nN\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_a_reader_that_closes_the_pipe_gets_exit_two_and_no_traceback(tmp_path, fmt):
+    # About 110 KB of free names: more than a pipe holds, so writes fail
+    # after the reader has gone.
+    path = tmp_path / "long.ml0"
+    decls = (f"x{i} = free_{'n' * 100}_{i}" for i in range(1_000))
+    path.write_text("module M where\n" + "\n".join(decls) + "\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "strategem", "free-vars", "--format", fmt, str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "<stdout>: write failed: Broken pipe\n"

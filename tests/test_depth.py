@@ -25,19 +25,25 @@ from strategem.effects import (
     PARTIAL,
     PARTIAL_STATE,
     STATE,
+    identity_morphism,
+    partial_to_identity,
     run_state,
     supports_failure,
     supports_state,
 )
 from strategem.minilang import App, LitInt, Var, to_term
 from strategem.strategies import (
+    _recursive,
     adhoc_tp,
     adhoc_tu,
+    all_tp,
     apply,
     build_tu,
     fail_tp,
     fail_tu,
     identity_tp,
+    msubst_tp,
+    seq_tp,
 )
 from strategem.terms import INT, Term, children, list_of, term
 from strategem.themes import (
@@ -239,6 +245,29 @@ def local_state_numbering(ctx, sub):
     number = lambda _v: ctx.bind(ctx.get(), lambda n: ctx.bind(ctx.put(n + 1), lambda _: ctx.pure(n)))
     s = local_state(0, topdown(adhoc_tp(identity_tp(ctx), INT, number)))
     return s, ints_of, list(range(len(sub.ints))), None
+
+
+@case(*ALL)
+def recursion_through_msubst(ctx, sub):
+    # Every level of the recursion passes through msubst.
+    inc = adhoc_tp(identity_tp(ctx), INT, lambda v: counted(ctx, v + 1))
+    s = _recursive(
+        identity_tp(ctx), lambda rec: msubst_tp(identity_morphism(ctx), seq_tp(inc, all_tp(rec)))
+    )
+    return s, ints_of, [v + 1 for v in sub.ints], len(sub.ints)
+
+
+@case("identity")
+def per_node_local_state(ctx, sub):
+    # An even int adds a count that starts afresh at 10 at every node; an
+    # odd one fails, and the failure recovers as -1.
+    local = PARTIAL_STATE
+    add_count = lambda v: local.bind(
+        counted(local, v), lambda v: local.bind(local.get(), lambda n: local.pure(v + n))
+    )
+    step = adhoc_tp(identity_tp(local), INT, lambda v: local.zero() if v % 2 else add_count(v))
+    s = topdown(msubst_tp(partial_to_identity(term(-1)), local_state(10, step)))
+    return s, ints_of, [-1 if v % 2 else v + 11 for v in sub.ints], None
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import pytest
 
+from strategem import strategies
+from strategem.analyses import de_bruijn
 from strategem.effects import (
     IDENTITY,
     INT_SUM,
@@ -15,12 +17,14 @@ from strategem.effects import (
     PARTIAL_STATE,
     STATE,
     EffectContext,
+    EffectMorphism,
     Just,
     StateOver,
     identity_morphism,
     partial_to_identity,
     run_state,
 )
+from strategem.minilang import parse, to_term
 from strategem.strategies import (
     TP,
     TU,
@@ -47,7 +51,7 @@ from strategem.strategies import (
     tu_ops,
 )
 from strategem.terms import INT, STR, Registry, list_of, pair_of, register_descriptors, term
-from strategem.themes import topdown
+from strategem.themes import local_state, topdown
 
 
 @dataclass(frozen=True)
@@ -362,6 +366,37 @@ def test_msubst_checks_the_source_context():
         msubst_tp(partial_to_identity(None), identity_tp(IDENTITY))
     with pytest.raises(ValueError):
         msubst_tu(identity_morphism(PARTIAL), build_tu(IDENTITY, 0))
+
+
+def test_library_morphisms_start_no_second_loop(monkeypatch):
+    entries = []
+    loop = strategies._loop
+
+    def counted(*args):
+        entries.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(strategies, "_loop", counted)
+    t = term([(1, 2), (3, 4)], list_of(pair_of(INT, INT)))
+    bump = inc_int(identity_tp(PARTIAL))
+    number = adhoc_tp(identity_tp(STATE), INT, lambda v: _tick(STATE, v))
+    module = to_term(parse('module M where\nf = g "a" "b"\n'))
+    # Each morphism moves a strategy at every node of a traversal.
+    runs = {
+        "de_bruijn": lambda: de_bruijn(module),
+        "local_state": lambda: apply(topdown(local_state(0, number)), t),
+        "identity_morphism": lambda: apply(topdown(msubst_tp(identity_morphism(PARTIAL), bump)), t),
+        "partial_to_identity": lambda: apply(topdown(msubst_tp(partial_to_identity(term(0)), bump)), t),
+    }
+    for name, run in runs.items():
+        entries.clear()
+        run()
+        assert len(entries) == 1, name
+    # A morphism the library does not know runs its strategy in a nested loop.
+    user = EffectMorphism(PARTIAL, IDENTITY, lambda comp: comp.value)
+    entries.clear()
+    assert apply(topdown(msubst_tp(user, bump)), t).value == [(2, 3), (4, 5)]
+    assert len(entries) > 1
 
 
 def test_shared_vocabulary_readings():

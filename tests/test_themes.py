@@ -21,12 +21,16 @@ from strategem.effects import (
     PARTIAL_STATE,
     SET_UNION,
     STATE,
+    EffectMorphism,
     Just,
     Monoid,
     StateOver,
+    identity_morphism,
+    partial_to_identity,
     run_state,
     supports_failure,
     supports_state,
+    unlift_state,
 )
 from strategem.minilang import (
     DECL,
@@ -55,6 +59,8 @@ from strategem.strategies import (
     fail_tp,
     fail_tu,
     identity_tp,
+    msubst_tp,
+    msubst_tu,
     one_tp,
     tp_ops,
     tu_ops,
@@ -708,3 +714,35 @@ def test_pruned_and_unpruned_runs_agree(t, tags):
             for opaque in (False, True)
         )
         assert pruned == unpruned, (name, ctx)
+
+
+# A strategy moved along a library morphism runs in the loop around it, and
+# along any other morphism in a nested loop; both give the same outcome.
+# The per-node strategy of every scheme above is moved, in each context the
+# morphism accepts; a fresh local state starts at 100, an outer one at 0.
+
+_MORPHISMS = (
+    *(identity_morphism(ctx) for ctx in (IDENTITY, PARTIAL, STATE, PARTIAL_STATE)),
+    partial_to_identity(None),
+    unlift_state(STATE, 100),
+    unlift_state(PARTIAL_STATE, 100),
+    unlift_state(StateOver(STATE), 100),
+)
+
+
+def _unknown(m):
+    # The same morphism with a `run` the library does not recognise.
+    return EffectMorphism(m.source, m.target, lambda comp: m.run(comp))
+
+
+@settings(deadline=None)
+@given(t=_terms, tags=st.lists(st.sampled_from(_TARGETS), min_size=1, max_size=2, unique=True))
+def test_library_morphisms_agree_with_unknown_ones(t, tags):
+    for name, (needs_failure, default, step, scheme) in _SCHEMES.items():
+        for m in _MORPHISMS:
+            if needs_failure and not supports_failure(m.target):
+                continue
+            s = _layers(default(m.source, False), tags, step)
+            msubst = msubst_tp if isinstance(s, TP) else msubst_tu
+            known, unknown = (_outcome(scheme(msubst(m2, s)), t) for m2 in (m, _unknown(m)))
+            assert known == unknown, (name, m.source, m.target)
