@@ -233,7 +233,9 @@ class Monoid:
 
     `neutral` must be a unit of `append`: `all_tu` relies on this when it
     skips a subterm whose analysis is known to give `neutral`, appending
-    nothing for it.
+    nothing for it.  A result may be the `neutral` object itself, which
+    `all_tu` gives on a term without children; it is shared by every fold
+    over the monoid, so it must not be mutated.
     """
 
     neutral: Any

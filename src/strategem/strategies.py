@@ -21,14 +21,15 @@ The basic vocabulary:
   one_tp, one_tu            push one layer down: first subterm that works
   msubst_tp, msubst_tu      move a strategy along an effect morphism
 
-`all` and `one` are each one primitive read at both kinds.  `all` is a
-one-layer fold over the immediate subterms: `all_tp` collects the new
-children and rebuilds the outermost constructor only if a child changed;
-`all_tu` starts from the monoid's neutral element and appends child
-results left to right.  `one` is a one-layer search that commits to the
-leftmost child the strategy succeeds on: `one_tp` rebuilds around the new
-child, `one_tu` returns its result.  `one` fails on terms without
-children.
+`all` and `one` are one primitive, a one-layer traversal read at both
+kinds.  `all` is a one-layer fold over the immediate subterms: `all_tp`
+collects the new children and rebuilds the outermost constructor only if
+a child changed; `all_tu` starts from the monoid's neutral element and
+appends child results left to right.  `one` is a one-layer search that
+commits to the leftmost child the strategy succeeds on: `one_tp` rebuilds
+around the new child, `one_tu` returns its result.  What the layer gives
+on a term without children is its empty result: the term itself for
+`all_tp`, the neutral element for `all_tu`, failure for `one`.
 
 Strategies are data run by one loop.  Every combinator builds a small
 node, held in the `run` field of its TP or TU, and `_loop` interprets the
@@ -54,17 +55,18 @@ is bounded by the Python stack again.
 
 Nested adhoc layers collapse into one node holding a dict from tag to
 step, so a chain dispatches with one lookup.  A traversal skips the
-subterms no adhoc layer can reach.  On its first run an `all` or `one`
-node reads its strategy: the tags of the adhoc layers it can run, and
-its outcome on a term whose datatype reaches none of them at any depth.
-Where that outcome is what skipping gives (the term itself under
-`all_tp`, the monoid's neutral element under `all_tu`, failure under
-`one`), a kid of such a datatype is not entered: `all_tp` keeps it,
-`all_tu` appends nothing for it and `one` counts it as a failure.  The
-outcome cannot be read through a `let` or a step, such as an `msubst`
-along a user-written morphism, so any of them where the strategy would
-run on the kid switches pruning off for that node.  A datatype declared
-but not yet defined may reach anything, so it is always entered.
+subterms no adhoc layer can reach, by one rule: a layer skips a kid where
+its strategy is known to give the layer's empty result, since that kid
+then changes nothing: `all_tp` keeps it, `all_tu` appends nothing for it
+and `one` counts it as a failure.  On its first run a layer reads its
+strategy: the tags of the adhoc layers it can run, and its outcome on a
+term whose datatype reaches none of them at any depth.  Where that
+outcome is the empty result, a kid of such a datatype is not entered.
+The outcome cannot be read through a `let` or a step, such as an
+`msubst` along a user-written morphism, so any of them where the
+strategy would run on the kid switches pruning off for that layer, as
+does a strategy nested too deep to read.  A datatype declared but not
+yet defined may reach anything, so it is always entered.
 """
 
 from __future__ import annotations
@@ -206,24 +208,19 @@ class _Choice(_Node):
         self.ctx, self.first, self.second = ctx, first, second
 
 
-# The `skips` of an _All or _One node before its first run on a term with
-# kids; `_first_read` makes it a _Skips, or None if the node skips no kid.
+# The `skips` of a _Layer node before its first run on a term with kids;
+# `_first_read` makes it a _Skips, or None if the node skips no kid.
 _UNREAD = object()
 
 
-class _All(_Node):
-    __slots__ = ("s", "append", "neutral", "skips")  # append: None for TP, else the monoid's
+class _Layer(_Node):
+    # One-layer traversal.  `empty` is what the layer gives on a term without
+    # kids: _TERM for all_tp, the monoid's neutral for all_tu, _FAIL for one;
+    # `tp`: rebuild around the new kids; `append`: the monoid's, for all_tu.
+    __slots__ = ("s", "empty", "tp", "append", "skips")
 
-    def __init__(self, ctx, s, append, neutral):
-        self.ctx, self.s, self.append, self.neutral = ctx, s, append, neutral
-        self.skips = _UNREAD
-
-
-class _One(_Node):
-    __slots__ = ("s", "tp", "skips")
-
-    def __init__(self, ctx, s, tp):
-        self.ctx, self.s, self.tp = ctx, s, tp
+    def __init__(self, ctx, s, empty, tp, append):
+        self.ctx, self.s, self.empty, self.tp, self.append = ctx, s, empty, tp, append
         self.skips = _UNREAD
 
 
@@ -248,11 +245,14 @@ def _loop(node, t, regs):
     Returns the value, or _FAIL, and the register after it.  Frames
     pending a value: (_Seq, node, t) and (_APPEND, append, first result);
     (_Let, node, t); (_Unlift,), which drops the first state; (_Choice,
-    second, t, regs) and [_One, node, t, kids, i, regs, skip], which take
-    over on failure; [_All, node, t, kids, i, results, skip].  `skip` is
-    the node's `skips` for the datatype of `t`: None, or whether to pass
-    over a kid, by its tag.  all_tp keeps a kid it passes over as it is,
-    all_tu appends nothing for it, one counts it as a failure.
+    second, t, regs), which takes over on failure; and [_Layer, node, t,
+    kids, i, acc, skip] for kid `i`, which moves on to the next kid when
+    kid `i` fails under `one` and when it succeeds under `all`.  `acc` is
+    what the layer carries from kid to kid: the register to restore
+    (`one`), the new kids, starting as the kids (`all_tp`), or the
+    running fold (`all_tu`).  `skip` is the node's `skips` for the
+    datatype of `t`: None, or whether to pass over a kid, by its tag (see
+    the module docstring).
     """
     stack = []
     push, pop = stack.append, stack.pop
@@ -276,37 +276,24 @@ def _loop(node, t, regs):
             elif kind is _Const:
                 v = t if node.value is _TERM else node.value
                 break
-            elif kind is _All:
-                kids = children(t)
-                if not kids:
-                    v = t if node.append is None else node.neutral
-                    break
-                i, skip = 0, node.skips
-                if skip is not None:
-                    skip = skip[t.tag] if skip is not _UNREAD else _first_read(node, t.tag)
-                    while skip is not None and i < len(kids) and skip[kids[i].tag]:
-                        i += 1
-                    if i == len(kids):
-                        v = t if node.append is None else node.neutral
-                        break
-                # all_tp's results start as the kids, so the skipped ones stay.
-                results = list(kids) if node.append is None else node.neutral
-                push([_All, node, t, kids, i, results, skip])
-                node, t = node.s, kids[i]
-            elif kind is _Choice:
-                push((_Choice, node.second, t, regs))
-                node = node.first
-            elif kind is _One:
+            elif kind is _Layer:
                 kids, i, skip = children(t), 0, node.skips
                 if skip is not None and kids:
                     skip = skip[t.tag] if skip is not _UNREAD else _first_read(node, t.tag)
                     while skip is not None and i < len(kids) and skip[kids[i].tag]:
                         i += 1
                 if i == len(kids):
-                    v = _FAIL
+                    v = t if node.empty is _TERM else node.empty
                     break
-                push([_One, node, t, kids, i, regs, skip])
+                if node.empty is _FAIL:
+                    acc = regs
+                else:
+                    acc = list(kids) if node.tp else node.empty
+                push([_Layer, node, t, kids, i, acc, skip])
                 node, t = node.s, kids[i]
+            elif kind is _Choice:
+                push((_Choice, node.second, t, regs))
+                node = node.first
             elif kind is _Let:
                 push((_Let, node, t))
                 node = node.analysis
@@ -320,27 +307,21 @@ def _loop(node, t, regs):
         while stack:
             frame = pop()
             kind = frame[0]
-            if v is _FAIL:
-                if kind is _Choice:
-                    _, node, t, regs = frame
-                    break
-                if kind is _One:
-                    kids, i, skip = frame[3], frame[4] + 1, frame[6]
-                    if skip is not None:
-                        while i < len(kids) and skip[kids[i].tag]:
-                            i += 1
-                    if i < len(kids):
-                        frame[4] = i
-                        push(frame)
-                        node, t, regs = frame[1].s, kids[i], frame[5]
-                        break
-            elif kind is _All:
-                node, i = frame[1], frame[4]
-                if node.append is None:
-                    frame[5][i] = v
+            if kind is _Layer:
+                _, node, t, kids, i, acc, skip = frame
+                one = node.empty is _FAIL
+                if (v is _FAIL) is not one:
+                    # A failed kid fails `all`; a kid that works ends `one`.
+                    if v is not _FAIL and node.tp:
+                        v = rebuild(t, kids[:i] + (v,) + kids[i + 1 :])
+                    continue
+                if one:
+                    regs = acc
+                elif node.tp:
+                    acc[i] = v
                 else:
-                    frame[5] = node.append(frame[5], v)
-                kids, i, skip = frame[3], i + 1, frame[6]
+                    acc = frame[5] = node.append(acc, v)
+                i += 1
                 if skip is not None:
                     while i < len(kids) and skip[kids[i].tag]:
                         i += 1
@@ -349,9 +330,14 @@ def _loop(node, t, regs):
                     push(frame)
                     node, t = node.s, kids[i]
                     break
-                v, t = frame[5], frame[2]
-                if node.append is None:
-                    v = rebuild(t, v) if any(map(is_not, v, kids)) else t
+                if not one:
+                    v = acc
+                    if node.tp:
+                        v = rebuild(t, v) if any(map(is_not, v, kids)) else t
+            elif v is _FAIL:
+                if kind is _Choice:
+                    _, node, t, regs = frame
+                    break
             elif kind is _Seq:
                 node, t = frame[1], frame[2]
                 if node.append is None:
@@ -370,10 +356,7 @@ def _loop(node, t, regs):
                 break
             elif kind is _Unlift:
                 regs = regs[1:]
-            elif kind is _One and frame[1].tp:
-                kids, i = frame[3], frame[4]
-                v = rebuild(frame[2], kids[:i] + (v,) + kids[i + 1 :])
-            # A _Choice frame, or a TU _One frame, passes a success on.
+            # A _Choice frame passes a success on.
         else:
             return v, regs
 
@@ -478,14 +461,9 @@ class _Outcomes:
         if kind is _Choice:
             first = self.outcome(node.first, level)
             return self.outcome(node.second, level) if first is _FAIL else first
-        if kind is _All:
+        if kind is _Layer:
             v = self.outcome(node.s, level + 1)
-            if node.append is None:
-                return _TERM if v is _TERM or v is _ANY else _UNKNOWN
-            return node.neutral if v is _ANY or _same(v, node.neutral) else _UNKNOWN
-        if kind is _One:
-            v = self.outcome(node.s, level + 1)
-            return _FAIL if v is _FAIL or v is _ANY else _UNKNOWN
+            return node.empty if v is _ANY or _same(v, node.empty) else _UNKNOWN
         if kind is _Unlift:
             return self.outcome(node.s, level)
         if kind is _Ref:
@@ -502,7 +480,7 @@ class _Outcomes:
 
 
 class _Skips(dict):
-    """The kids an all/one node skips, by the datatype of the parent term.
+    """The kids a layer skips, by the datatype of the parent term.
 
     Maps a tag to None when no kid of that datatype can be skipped, else
     to a dict from each of its field datatypes to whether a kid of that
@@ -531,16 +509,12 @@ class _Skips(dict):
 
 
 def _first_read(node, tag):
-    # Read the strategy of an _All or _One node on its first run on a term
-    # with kids (see the module docstring); set the node's `skips` and
-    # return its entry for `tag`, the datatype of that term.
+    # Read the strategy of a _Layer node on its first run on a term with
+    # kids (see the module docstring); set the node's `skips` and return its
+    # entry for `tag`, the datatype of that term.
     reader = _Outcomes()
     try:
-        v = reader.outcome(node.s, 0)
-        if type(node) is _One:
-            skips = v is _FAIL
-        else:
-            skips = v is _TERM if node.append is None else _same(v, node.neutral)
+        skips = _same(reader.outcome(node.s, 0), node.empty)
     except Exception:  # a monoid's append or ==, or a strategy nested too deep
         skips = False
     node.skips = _Skips(frozenset(reader.tags)) if skips else None
@@ -676,7 +650,7 @@ def all_tp(s: TP) -> TP:
     the input term itself is the result, so unchanged subterms are shared
     rather than copied.
     """
-    return TP(s.context, _All(s.context, _node(s), None, None))
+    return TP(s.context, _Layer(s.context, _node(s), _TERM, True, None))
 
 
 def all_tu(s: TU, monoid: Monoid) -> TU:
@@ -685,7 +659,7 @@ def all_tu(s: TU, monoid: Monoid) -> TU:
     The fold starts from the monoid's neutral element, so terms without
     children yield the neutral element.
     """
-    return TU(s.context, _All(s.context, _node(s), monoid.append, monoid.neutral))
+    return TU(s.context, _Layer(s.context, _node(s), monoid.neutral, False, monoid.append))
 
 
 def one_tp(s: TP) -> TP:
@@ -695,13 +669,13 @@ def one_tp(s: TP) -> TP:
     success; terms without children fail.
     """
     ctx = _partial_context(s.context)
-    return TP(ctx, _One(ctx, _node(s), True))
+    return TP(ctx, _Layer(ctx, _node(s), _FAIL, True, None))
 
 
 def one_tu(s: TU) -> TU:
     """Analyse the leftmost immediate subterm the strategy succeeds on."""
     ctx = _partial_context(s.context)
-    return TU(ctx, _One(ctx, _node(s), False))
+    return TU(ctx, _Layer(ctx, _node(s), _FAIL, False, None))
 
 
 def _msubst(kind, morphism, s):

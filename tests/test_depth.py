@@ -39,6 +39,7 @@ from strategem.strategies import (
     all_tp,
     apply,
     build_tu,
+    choice_tp,
     fail_tp,
     fail_tu,
     identity_tp,
@@ -321,3 +322,42 @@ def test_topdown_and_bottomup_agree_on_large_terms(row_values, long_values):
         assert down == up
         ints = [sub.value for sub in preorder(t) if sub.tag is INT]
         assert [sub.value for sub in preorder(down) if sub.tag is INT] == [v + 1 for v in ints]
+
+
+# Deep strategies, not only deep terms.  A traversal reads its strategy once
+# before pruning; that read recurses on the strategy's nesting, and where it
+# runs out of stack pruning is off, so the traversal still completes.
+
+CHAIN = 5_000
+SHORT = list(range(10))
+
+
+@pytest.mark.parametrize("ctx", ALL)
+def test_topdown_of_a_deep_seq_chain(ctx):
+    assert sys.getrecursionlimit() == 1000
+    ctx = CONTEXTS[ctx]
+    inc = adhoc_tp(identity_tp(ctx), INT, lambda v: counted(ctx, v + 1))
+    s = inc
+    for _ in range(CHAIN - 1):
+        s = seq_tp(s, inc)
+    value, state = outcome(ctx, apply(topdown(s), term(SHORT, list_of(INT))))
+    assert collect_ints(value.value) == [v + CHAIN for v in collect_ints(SHORT)]
+    assert state == (CHAIN * len(SHORT) if supports_state(ctx) else None)
+
+
+@pytest.mark.parametrize("ctx", PARTIAL_ONLY)
+def test_once_td_of_a_deep_choice_chain(ctx):
+    assert sys.getrecursionlimit() == 1000
+    ctx = CONTEXTS[ctx]
+    top = max(SHORT)
+    never = adhoc_tp(fail_tp(ctx), INT, lambda v: ctx.zero())
+    hit = adhoc_tp(fail_tp(ctx), INT, lambda v: counted(ctx, -1) if v == top else ctx.zero())
+    s = never
+    for _ in range(CHAIN - 2):
+        s = choice_tp(s, never)
+    s = choice_tp(s, hit)
+    value, state = outcome(ctx, apply(once_td(s), term(SHORT, list_of(INT))))
+    ints = collect_ints(SHORT)
+    i = ints.index(top)
+    assert collect_ints(value.value) == ints[:i] + [-1] + ints[i + 1 :]
+    assert state == (1 if supports_state(ctx) else None)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategem import strategies
 from strategem.analyses import de_bruijn
@@ -23,6 +25,8 @@ from strategem.effects import (
     identity_morphism,
     partial_to_identity,
     run_state,
+    supports_failure,
+    supports_state,
 )
 from strategem.minilang import parse, to_term
 from strategem.strategies import (
@@ -50,8 +54,19 @@ from strategem.strategies import (
     tp_ops,
     tu_ops,
 )
-from strategem.terms import INT, STR, Registry, list_of, pair_of, register_descriptors, term
+from strategem.terms import (
+    INT,
+    STR,
+    Registry,
+    children,
+    list_of,
+    pair_of,
+    rebuild,
+    register_descriptors,
+    term,
+)
 from strategem.themes import local_state, topdown
+from test_themes import _TARGETS, _bump, _count, _layers, _outcome, _partly, _terms
 
 
 @dataclass(frozen=True)
@@ -343,6 +358,112 @@ def test_one_keeps_only_the_state_of_the_child_that_succeeded():
     assert run_state(apply(tp, t), ()) == Just((term((1, 3), pair_of(INT, INT)), (2,)))
     tu = one_tu(adhoc_tu(fail_tu(ctx), INT, record_then_fail_on_odd(lambda v: v)))
     assert run_state(apply(tu, t), ()) == Just((2, (2,)))
+
+
+# One layer against a plain walk: the strategy applied to each of
+# `children(t)` with `apply`, the state threaded left to right, `one` keeping
+# only the state of the kid that works.  The per-kid strategy is a layer of
+# adhoc steps over a default, so kids that reach no step's tag are skipped
+# where the default gives what the layer gives on a term without kids; or
+# `all` of those steps, which can count on one grandkid and fail on the
+# next; or the steps after a counting step, which can count and then fail.
+
+
+def _kid(s, kid, state):
+    # (value, state) of `s` at `kid` from `state`, None on failure.
+    ctx, comp = s.context, apply(s, kid)
+    if supports_state(ctx):
+        comp = run_state(comp, state)
+    if supports_failure(ctx):
+        if comp is NOTHING:
+            return None
+        comp = comp.value
+    return comp if supports_state(ctx) else (comp, state)
+
+
+def _all_reference(monoid):
+    def layer(s, t, state):
+        acc = [] if monoid is None else monoid.neutral
+        for kid in children(t):
+            got = _kid(s, kid, state)
+            if got is None:
+                return None
+            v, state = got
+            acc = acc + [v] if monoid is None else monoid.append(acc, v)
+        if monoid is None:
+            return (rebuild(t, acc) if acc else t), state
+        return acc, state
+
+    return layer
+
+
+def _one_reference(tp):
+    def layer(s, t, state):
+        kids = children(t)
+        for i, kid in enumerate(kids):
+            got = _kid(s, kid, state)
+            if got is not None:
+                v, state = got
+                return (rebuild(t, kids[:i] + (v,) + kids[i + 1 :]) if tp else v), state
+        return None
+
+    return layer
+
+
+def _read(ctx, got):
+    # A (value, state) pair or None as `_outcome` reads the computation.
+    if got is None:
+        return NOTHING
+    v = got if supports_state(ctx) else got[0]
+    return Just(v) if supports_failure(ctx) else v
+
+
+def _sum(s):
+    return all_tu(s, INT_SUM)
+
+
+def _concat(s):
+    return all_tu(s, LIST_CONCAT)
+
+
+def _build(value):
+    return lambda ctx: build_tu(ctx, value)
+
+
+def _listed(v, n):
+    return [(v, n)]
+
+
+# (layer, reference, `all` of the kind, needs failure, default, step)
+_ONE_LAYER = [
+    (all_tp, _all_reference(None), all_tp, False, identity_tp, _bump),
+    (all_tp, _all_reference(None), all_tp, True, fail_tp, _partly(_bump)),
+    (_sum, _all_reference(INT_SUM), _sum, False, _build(0), _count),
+    (_sum, _all_reference(INT_SUM), _sum, False, _build(1), _count),
+    (_sum, _all_reference(INT_SUM), _sum, True, fail_tu, _partly(_count)),
+    (_concat, _all_reference(LIST_CONCAT), _concat, False, _build([]), _listed),
+    (_concat, _all_reference(LIST_CONCAT), _concat, False, _build([("x", 0)]), _listed),
+    (_concat, _all_reference(LIST_CONCAT), _concat, True, fail_tu, _partly(_listed)),
+    (one_tp, _one_reference(True), all_tp, True, fail_tp, _partly(_bump)),
+    (one_tp, _one_reference(True), all_tp, True, identity_tp, _partly(_bump)),
+    (one_tu, _one_reference(False), _sum, True, fail_tu, _partly(_count)),
+    (one_tu, _one_reference(False), _sum, True, _build(0), _partly(_count)),
+]
+
+
+@settings(deadline=None)
+@given(t=_terms, tags=st.lists(st.sampled_from(_TARGETS), min_size=1, max_size=2, unique=True))
+def test_one_layer_agrees_with_a_walk_over_the_kids(t, tags):
+    for layer, reference, all_, needs_failure, default, step in _ONE_LAYER:
+        for ctx in (IDENTITY, PARTIAL, STATE, PARTIAL_STATE):
+            if needs_failure and not supports_failure(ctx):
+                continue
+            s = _layers(default(ctx), tags, step)
+            tick = _layers(identity_tp(ctx), tags, lambda v, n: v)
+            seq = seq_tp if isinstance(s, TP) else seq_tu
+            for kid_strategy in (s, all_(s), seq(tick, s)):
+                want = _read(ctx, reference(kid_strategy, t, 0))
+                assert _outcome(layer(kid_strategy), t) == want, (layer, ctx)
 
 
 def test_msubst_moves_contexts():
