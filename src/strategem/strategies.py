@@ -86,7 +86,7 @@ from .effects import (
     supports_failure,
 )
 from .effects import _recover, _unchanged, _unlift
-from .terms import Term, TypeTag, _entry, _reach, children, rebuild, term
+from .terms import Term, TypeTag, _reach, rebuild, term
 
 __all__ = [
     "TP",
@@ -208,11 +208,6 @@ class _Choice(_Node):
         self.ctx, self.first, self.second = ctx, first, second
 
 
-# The `skips` of a _Layer node before its first run on a term with kids;
-# `_first_read` makes it a _Skips, or None if the node skips no kid.
-_UNREAD = object()
-
-
 class _Layer(_Node):
     # One-layer traversal.  `empty` is what the layer gives on a term without
     # kids: _TERM for all_tp, the monoid's neutral for all_tu, _FAIL for one;
@@ -221,7 +216,7 @@ class _Layer(_Node):
 
     def __init__(self, ctx, s, empty, tp, append):
         self.ctx, self.s, self.empty, self.tp, self.append = ctx, s, empty, tp, append
-        self.skips = _UNREAD
+        self.skips = _Skips(self)
 
 
 class _Unlift(_Node):
@@ -250,9 +245,9 @@ def _loop(node, t, regs):
     kid `i` fails under `one` and when it succeeds under `all`.  `acc` is
     what the layer carries from kid to kid: the register to restore
     (`one`), the new kids, starting as the kids (`all_tp`), or the
-    running fold (`all_tu`).  `skip` is the node's `skips` for the
-    datatype of `t`: None, or whether to pass over a kid, by its tag (see
-    the module docstring).
+    running fold (`all_tu`).  `skip` is the node's `skips` at the
+    datatype of `t`, read on entry to a term with kids: None, or whether
+    to pass over a kid, by its tag (see `_Skips`).
     """
     stack = []
     push, pop = stack.append, stack.pop
@@ -277,11 +272,10 @@ def _loop(node, t, regs):
                 v = t if node.value is _TERM else node.value
                 break
             elif kind is _Layer:
-                kids, i, skip = children(t), 0, node.skips
-                if skip is not None and kids:
-                    skip = skip[t.tag] if skip is not _UNREAD else _first_read(node, t.tag)
-                    while skip is not None and i < len(kids) and skip[kids[i].tag]:
-                        i += 1
+                kids, i = t.tag.children(t), 0
+                skip = node.skips[t.tag] if kids else None
+                while skip is not None and i < len(kids) and skip[kids[i].tag]:
+                    i += 1
                 if i == len(kids):
                     v = t if node.empty is _TERM else node.empty
                     break
@@ -486,18 +480,28 @@ class _Skips(dict):
     to a dict from each of its field datatypes to whether a kid of that
     datatype is skipped: it is when it reaches none of `tags`.  Filled on
     demand; a field datatype whose reach is not known yet is not skipped,
-    and the answer is not kept.
+    and the answer is not kept.  The first miss reads the strategy of
+    `layer` (see the module docstring): `tags` are the tags of the adhoc
+    layers it can run, or None, which skips no kid, where its outcome is
+    not the layer's empty result.
     """
 
-    __slots__ = ("tags",)
+    __slots__ = ("layer", "tags")
 
-    def __init__(self, tags):
+    def __init__(self, layer):
         super().__init__()
-        self.tags = tags
+        self.layer, self.tags = layer, None
 
     def __missing__(self, tag):
+        if self.layer is not None:
+            layer, self.layer, reader = self.layer, None, _Outcomes()
+            try:
+                if _same(reader.outcome(layer.s, 0), layer.empty):
+                    self.tags = frozenset(reader.tags)
+            except Exception:  # a monoid's append or ==, or a strategy nested too deep
+                pass
         skip, known = {}, True
-        for field in _entry(tag).field_types:
+        for field in (tag.field_types if self.tags is not None else ()):
             reach = _reach(field)
             known = known and reach is not None
             skip[field] = reach is not None and reach.isdisjoint(self.tags)
@@ -506,19 +510,6 @@ class _Skips(dict):
         if known:
             self[tag] = skip
         return skip
-
-
-def _first_read(node, tag):
-    # Read the strategy of a _Layer node on its first run on a term with
-    # kids (see the module docstring); set the node's `skips` and return its
-    # entry for `tag`, the datatype of that term.
-    reader = _Outcomes()
-    try:
-        skips = _same(reader.outcome(node.s, 0), node.empty)
-    except Exception:  # a monoid's append or ==, or a strategy nested too deep
-        skips = False
-    node.skips = _Skips(frozenset(reader.tags)) if skips else None
-    return node.skips[tag] if skips else None
 
 
 def _node(s: Strategy):

@@ -1,10 +1,10 @@
 """Universal term representation.
 
 Generic traversal needs one uniform view of values from many datatypes.
-Here a value is wrapped in a `Term` carrying a `TypeTag` that identifies
-its concrete datatype.  Tags know how to take a value apart into child
-terms and how to put it back together, so traversal code never mentions
-the datatypes it walks over.
+Here a value is wrapped in a `Term` carrying the `TypeTag` of its
+concrete datatype.  The tag is also the datatype's one-layer view: it
+takes a value apart into child terms and puts it back together, so
+traversal code never mentions the datatypes it walks over.
 
 Three families of datatypes exist:
 
@@ -16,7 +16,8 @@ Three families of datatypes exist:
     type through `list_of`, `pair_of` and `optional_of`; each distinct
     instantiation is its own datatype.
 
-Tags compare by identity and are stable for the lifetime of the process.
+Tags compare by identity and are stable for the lifetime of the process:
+a copy of a tag is the tag itself, and pickling one is refused.
 Registries are populated at import time and then frozen, which also checks
 the closure property: every datatype reachable from a registered one is
 itself registered.
@@ -102,22 +103,48 @@ class RegistryFrozen(Exception):
 
 
 class TypeTag:
-    """Identity of one concrete datatype.
+    """One concrete datatype: its identity and its one-layer view.
 
-    Tags compare by object identity; the registration machinery hands out
-    exactly one tag per datatype, so identity equality coincides with
-    datatype equality.
+    The registration machinery hands out exactly one tag per datatype, so
+    tags compare by identity, and a copy of a tag is the tag itself.  Each
+    kind of datatype is a subclass, and traversal, comparison and `freeze`
+    use only its view: `field_types`, the datatypes of the constructor
+    fields (none for atoms); `check`, of a term against the datatype; a
+    term's constructor, children and `head` (what equal terms share at the
+    top); and `rebuild`, for all but atoms.  A tag with no view yet, one
+    declared but not defined or a bare `TypeTag`, raises `UnregisteredType`
+    from each of these.
     """
 
-    __slots__ = ("name", "_entry", "_reach")
+    __slots__ = ("name", "_reach")
 
     def __init__(self, name: str):
         self.name = name
-        self._entry = None
         self._reach = None
 
     def __repr__(self):
         return f"TypeTag({self.name})"
+
+    def __getattr__(self, name):
+        # Only reached for a missing member, such as an unset slot.
+        if name in _VIEW:
+            raise UnregisteredType(f"datatype {self.name} was declared but never defined")
+        raise AttributeError(name)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        raise TypeError(f"{self!r} belongs to one process and cannot be pickled")
+
+    def head(self, t):
+        return self.constructor_of(t)
+
+
+_VIEW = frozenset(("field_types", "by_class", "check", "constructor_of", "children", "rebuild"))
 
 
 @dataclass(frozen=True)
@@ -161,18 +188,12 @@ class Term:
         return f"Term({self.value!r} : {self.tag.name})"
 
 
-def _entry(tag: TypeTag):
-    if tag._entry is None:
-        raise UnregisteredType(f"datatype {tag.name} was declared but never defined")
-    return tag._entry
-
-
 def _closure(tags) -> set:
     # The datatypes `tags` reach through `field_types`, themselves included;
     # raises UnregisteredType on one declared but never defined.
     seen, pending = set(tags), list(tags)
     while pending:
-        for field in _entry(pending.pop()).field_types:
+        for field in pending.pop().field_types:
             if field not in seen:
                 seen.add(field)
                 pending.append(field)
@@ -194,24 +215,12 @@ def _reach(tag: TypeTag):
     return tag._reach
 
 
-class _Entry:
-    """The view of one datatype that traversal, comparison and `freeze` use.
+class _AtomTag(TypeTag):
+    __slots__ = ("pytype",)
+    field_types = ()
 
-    `field_types` lists the datatypes of the constructor fields; atoms
-    have none.  Every entry checks a term against its datatype
-    (`check`), gives its constructor, children and `head` (what equal
-    terms share at the top); all but atoms rebuild.
-    """
-
-    field_types: tuple = ()
-
-    def head(self, t):
-        return self.constructor_of(t)
-
-
-class _AtomEntry(_Entry):
-    def __init__(self, tag, pytype):
-        self.tag = tag
+    def __init__(self, name, pytype):
+        super().__init__(name)
         self.pytype = pytype
 
     def check(self, t):
@@ -219,7 +228,7 @@ class _AtomEntry(_Entry):
         return type(t.value) is self.pytype
 
     def constructor_of(self, t):
-        return ConstructorTag(repr(t.value), self.tag, ())
+        return ConstructorTag(repr(t.value), self, ())
 
     def head(self, t):
         return (type(t.value), t.value)
@@ -228,12 +237,10 @@ class _AtomEntry(_Entry):
         return ()
 
 
-class _NodeEntry(_Entry):
-    def __init__(self, tag, constructors):
-        # constructors: list of (class, ConstructorTag, field name tuple)
-        self.tag = tag
-        self.by_class = {cls: (con, names) for cls, con, names in constructors}
-        self.field_types = tuple(f for con, _ in self.by_class.values() for f in con.field_tags)
+class _NodeTag(TypeTag):
+    # Set by `Registry.define`: `by_class` maps each constructor class to its
+    # ConstructorTag and field names.
+    __slots__ = ("by_class", "field_types")
 
     def check(self, t):
         return type(t.value) in self.by_class
@@ -298,13 +305,15 @@ class _Cons(Term):
         return self.value
 
 
-class _ListEntry(_Entry):
-    def __init__(self, tag, elem):
-        self.tag = tag
+class _ListTag(TypeTag):
+    __slots__ = ("elem", "field_types", "nil", "cons")
+
+    def __init__(self, name, elem):
+        super().__init__(name)
         self.elem = elem
-        self.field_types = (elem, tag)
-        self.nil = ConstructorTag("Nil", tag, ())
-        self.cons = ConstructorTag("Cons", tag, (elem, tag))
+        self.field_types = (elem, self)
+        self.nil = ConstructorTag("Nil", self, ())
+        self.cons = ConstructorTag("Cons", self, (elem, self))
 
     def check(self, t):
         # A lazy form is a list by construction: it came from one.
@@ -322,19 +331,20 @@ class _ListEntry(_Entry):
         seq, i = (t.seq, t.offset) if type(t) is _Tail else (t.value, 0)
         if i == len(seq):
             return ()
-        return (Term(seq[i], self.elem), _Tail(seq, i + 1, self.tag))
+        return (Term(seq[i], self.elem), _Tail(seq, i + 1, self))
 
     def rebuild(self, t, kids):
-        return _Cons(kids[0], kids[1], self.tag)
+        return _Cons(kids[0], kids[1], self)
 
 
-class _PairEntry(_Entry):
-    def __init__(self, tag, first, second):
-        self.tag = tag
-        self.first = first
-        self.second = second
+class _PairTag(TypeTag):
+    __slots__ = ("first", "second", "field_types", "pair")
+
+    def __init__(self, name, first, second):
+        super().__init__(name)
+        self.first, self.second = first, second
         self.field_types = (first, second)
-        self.pair = ConstructorTag("Pair", tag, (first, second))
+        self.pair = ConstructorTag("Pair", self, (first, second))
 
     def check(self, t):
         return type(t.value) is tuple and len(t.value) == 2
@@ -347,21 +357,23 @@ class _PairEntry(_Entry):
         return (Term(value[0], self.first), Term(value[1], self.second))
 
     def rebuild(self, t, kids):
-        return Term((kids[0].value, kids[1].value), self.tag)
+        return Term((kids[0].value, kids[1].value), self)
 
 
-class _OptionalEntry(_Entry):
-    def __init__(self, tag, elem):
-        self.tag = tag
+class _OptionalTag(TypeTag):
+    __slots__ = ("elem", "field_types", "none", "some")
+
+    def __init__(self, name, elem):
+        super().__init__(name)
         self.elem = elem
         self.field_types = (elem,)
-        self.none = ConstructorTag("None", tag, ())
-        self.some = ConstructorTag("Some", tag, (elem,))
+        self.none = ConstructorTag("None", self, ())
+        self.some = ConstructorTag("Some", self, (elem,))
 
     def check(self, t):
         if t.value is None:
             return True
-        return _entry(self.elem).check(Term(t.value, self.elem))
+        return self.elem.check(Term(t.value, self.elem))
 
     def constructor_of(self, t):
         return self.none if t.value is None else self.some
@@ -372,45 +384,38 @@ class _OptionalEntry(_Entry):
         return (Term(t.value, self.elem),)
 
     def rebuild(self, t, kids):
-        return Term(kids[0].value, self.tag)
+        return Term(kids[0].value, self)
 
 
-def _atom(name, pytype):
-    tag = TypeTag(name)
-    tag._entry = _AtomEntry(tag, pytype)
-    return tag
-
-
-INT = _atom("Int", int)
-STR = _atom("Str", str)
-BOOL = _atom("Bool", bool)
+INT = _AtomTag("Int", int)
+STR = _AtomTag("Str", str)
+BOOL = _AtomTag("Bool", bool)
 
 _ATOM_BY_TYPE = {int: INT, str: STR, bool: BOOL}
 
 _containers: dict = {}
 
 
-def _container(entry, name, *fields) -> TypeTag:
-    key = (entry, *fields)
+def _container(kind, name, *fields) -> TypeTag:
+    key = (kind, *fields)
     if key not in _containers:
-        _containers[key] = tag = TypeTag(name)
-        tag._entry = entry(tag, *fields)
+        _containers[key] = kind(name, *fields)
     return _containers[key]
 
 
 def list_of(elem: TypeTag) -> TypeTag:
     """The datatype of sequences over one element type."""
-    return _container(_ListEntry, f"List({elem.name})", elem)
+    return _container(_ListTag, f"List({elem.name})", elem)
 
 
 def pair_of(first: TypeTag, second: TypeTag) -> TypeTag:
     """The datatype of two-tuples over two element types."""
-    return _container(_PairEntry, f"Pair({first.name},{second.name})", first, second)
+    return _container(_PairTag, f"Pair({first.name},{second.name})", first, second)
 
 
 def optional_of(elem: TypeTag) -> TypeTag:
     """The datatype of an optional value: None or an element."""
-    return _container(_OptionalEntry, f"Opt({elem.name})", elem)
+    return _container(_OptionalTag, f"Opt({elem.name})", elem)
 
 
 def term(value, tag: TypeTag | None = None) -> Term:
@@ -430,7 +435,7 @@ def term(value, tag: TypeTag | None = None) -> Term:
 
 
 def _checked(t: Term) -> Term:
-    if not _entry(t.tag).check(t):
+    if not t.tag.check(t):
         raise TypeError(f"{t.value!r} is not a value of datatype {t.tag.name}")
     return t
 
@@ -440,12 +445,12 @@ def type_of(t: Term) -> TypeTag:
 
 
 def constructor(t: Term) -> ConstructorTag:
-    return _entry(t.tag).constructor_of(t)
+    return t.tag.constructor_of(t)
 
 
 def children(t: Term) -> tuple:
     """The immediate subterms of a term, left to right; O(1) on a list."""
-    return _entry(t.tag).children(t)
+    return t.tag.children(t)
 
 
 def rebuild(t: Term, kids: Sequence[Term]) -> Term:
@@ -467,7 +472,7 @@ def rebuild(t: Term, kids: Sequence[Term]) -> Term:
             )
     if con.arity == 0:
         return t
-    return _entry(t.tag).rebuild(t, kids)
+    return t.tag.rebuild(t, kids)
 
 
 def cast(t: Term, target: TypeTag):
@@ -496,7 +501,7 @@ def _preorder(t: Term):
 def _keys(t: Term):
     # What equal terms share, node by node: `==` compares it and `hash` hashes it.
     for sub in _preorder(t):
-        yield sub.tag, _entry(sub.tag).head(sub)
+        yield sub.tag, sub.tag.head(sub)
 
 
 def validate_term(t: Term) -> None:
@@ -526,7 +531,7 @@ class Registry:
             return self._by_name[name]
         if self._frozen:
             raise RegistryFrozen(f"registry is frozen; cannot declare {name}")
-        tag = TypeTag(name)
+        tag = _NodeTag(name)
         self._by_name[name] = tag
         return tag
 
@@ -540,9 +545,11 @@ class Registry:
         if self._by_name.get(tag.name) is not tag:
             raise UnregisteredType(f"{tag!r} was not declared in this registry")
         signature = tuple((cls, tuple(ftags)) for cls, ftags in constructors)
-        if tag._entry is not None:
-            # The same shape builds the same entry: one constructor per class, in order.
-            shape = tuple((cls, con.field_tags) for cls, (con, _) in tag._entry.by_class.items())
+        try:  # the shape it is defined with: one constructor per class, in order
+            shape = tuple((cls, con.field_tags) for cls, (con, _) in tag.by_class.items())
+        except UnregisteredType:
+            shape = None
+        if shape is not None:
             if shape == tuple(dict(signature).items()):
                 return tag
             raise DuplicateRegistration(
@@ -565,8 +572,9 @@ class Registry:
                     f"{tag.name}.{cls.__name__} has {len(names)} fields, got {len(ftags)} tags"
                 )
             built.append((cls, ConstructorTag(cls.__name__, tag, ftags), names))
-        tag._entry = _NodeEntry(tag, built)
-        for cls, _, _ in built:
+        tag.by_class = {cls: (con, names) for cls, con, names in built}
+        tag.field_types = tuple(f for con, _ in tag.by_class.values() for f in con.field_tags)
+        for cls in tag.by_class:
             self._classes[cls] = tag
         return tag
 
@@ -648,11 +656,11 @@ class Registry:
 
 def descriptor_lines(tag: TypeTag) -> list[str]:
     """Render a node datatype in the textual descriptor format."""
-    entry = _entry(tag)
-    if not isinstance(entry, _NodeEntry):
+    # A bare TypeTag has no view yet: reading `by_class` raises UnregisteredType.
+    if not isinstance(tag, _NodeTag) and type(tag) is not TypeTag:
         raise TypeError(f"{tag!r} is not an algebraic datatype")
     lines = []
-    for con, _ in entry.by_class.values():
+    for con, _ in tag.by_class.values():
         fields = " ".join(ftag.name for ftag in con.field_tags)
         lines.append(f"{tag.name}.{con.name} : {fields}".rstrip())
     return lines

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given
 
 from gen_terms import modules
-from strategem.minilang import to_term
+from strategem.minilang import parse, to_term
 from strategem.effects import IDENTITY, INT_SUM, NOTHING, PARTIAL, Just
 from strategem.strategies import adhoc_tp, adhoc_tu, apply, build_tu, fail_tp, identity_tp
 from strategem.terms import (
@@ -24,6 +27,7 @@ from strategem.terms import (
     Registry,
     RegistryFrozen,
     Term,
+    TypeTag,
     UnregisteredType,
     cast,
     children,
@@ -423,6 +427,47 @@ def test_freeze_requires_every_declared_type_defined():
     r.declare("Ghost")
     with pytest.raises(UnregisteredType):
         r.freeze()
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: Registry().declare("Ghost"), lambda: TypeTag("X")], ids=["declared", "bare"]
+)
+def test_a_datatype_without_a_view_is_unregistered_everywhere(make):
+    g = make()
+    uses = [
+        lambda: term(1, g),
+        lambda: Term(1, g) == Term(1, g),
+        lambda: hash(Term(1, g)),
+        lambda: children(Term(1, g)),
+        lambda: constructor(Term(1, g)),
+        lambda: rebuild(Term(1, g), ()),
+        lambda: validate_term(Term(1, g)),
+        lambda: descriptor_lines(g),
+        lambda: term(1, optional_of(g)),
+        lambda: validate_term(term([1], list_of(g))),
+    ]
+    for use in uses:
+        with pytest.raises(UnregisteredType, match=f"datatype {g.name} was declared but never defined"):
+            use()
+    assert not hasattr(g, "anything")
+    with pytest.raises(TypeError):
+        descriptor_lines(INT)
+
+
+def test_a_copy_keeps_its_datatype():
+    # Tags compare by identity, so a copy of a term must keep the very same tag.
+    ints = term([1, 2], list_of(INT))
+    module = to_term(parse("module M where\nf x = add x 1\n"))
+    for tag in (INT, ints.tag, module.tag):
+        assert copy.copy(tag) is tag and copy.deepcopy(tag) is tag
+    for t in (ints, module):
+        assert copy.copy(t).tag is t.tag
+        d = copy.deepcopy(t)
+        assert d.tag is t.tag and d == t and hash(d) == hash(t)
+        assert apply(topdown(INC), d) == apply(topdown(INC), t) != t
+    for tag, t in ((INT, term(1)), (ints.tag, ints), (module.tag, module)):
+        with pytest.raises(TypeError, match=re.escape(repr(tag))):
+            pickle.dumps(t)
 
 
 def test_freeze_follows_field_types_through_containers():
