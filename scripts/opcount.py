@@ -6,8 +6,10 @@ a shared machine; the number of bytecodes an operation executes does not
 vary between runs.  This script builds fixed inputs (a generated `.ml0`
 module of 60 declarations and a 300-element list of pairs), runs each
 operation once to fill the caches, then counts the opcodes it executes
-under `sys.settrace`.  Work done in C (set and dict operations, builtins)
-is not counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
+under `sys.settrace`.  The first seven operations run in IDENTITY; the
+last four read the computations of PARTIAL, STATE and PARTIAL_STATE
+steps.  Work done in C (set and dict operations, builtins) is not
+counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
 """
@@ -16,8 +18,24 @@ from __future__ import annotations
 
 import sys
 
-from strategem import BOOL, IDENTITY, INT, adhoc_tp, apply, identity_tp, list_of, pair_of, term, topdown
-from strategem.analyses import all_types, count_of_type, free_vars, inc_ints, type_token
+from strategem import (
+    BOOL,
+    IDENTITY,
+    INT,
+    PARTIAL,
+    PARTIAL_STATE,
+    adhoc_tp,
+    apply,
+    fail_tp,
+    identity_tp,
+    list_of,
+    local_state,
+    once_td,
+    pair_of,
+    term,
+    topdown,
+)
+from strategem.analyses import all_types, count_of_type, de_bruijn, encode, free_vars, inc_ints, no_codes, type_token
 from strategem.minilang import DECL, parse, to_term
 
 
@@ -35,6 +53,19 @@ def module_text(n: int) -> str:
             )[i % 4]
         )
     return "\n".join(lines) + "\n"
+
+
+def tick(n):
+    """Count one more INT in the state, keeping the INT."""
+    ctx = PARTIAL_STATE
+    return ctx.bind(ctx.get(), lambda k: ctx.bind(ctx.put(k + 1), lambda _: ctx.pure(n)))
+
+
+def encode_all(terms) -> None:
+    """Encode the terms in turn, threading one coder through them."""
+    coder = no_codes()
+    for t in terms:
+        coder = encode(coder, t)[1]
 
 
 def opcodes(fn, *args) -> int:
@@ -63,6 +94,9 @@ def main() -> None:
     mterm, mcopy = to_term(module), to_term(parse(text))
     pairs = term([(i % 2 == 0, i) for i in range(300)], list_of(pair_of(BOOL, INT)))
     bump = topdown(adhoc_tp(identity_tp(IDENTITY), INT, lambda n: IDENTITY.pure(n + 1)))
+    never = once_td(adhoc_tp(fail_tp(PARTIAL), INT, lambda _n: PARTIAL.zero()))
+    count_ints = local_state(0, topdown(adhoc_tp(identity_tp(PARTIAL_STATE), INT, tick)))
+    decls = [to_term(d) for d in module.decls] * 2
     ops = [
         ("inc_ints", inc_ints, mterm),
         ("all_types", all_types, module),
@@ -71,6 +105,10 @@ def main() -> None:
         ("topdown_list", lambda t: apply(bump, t), pairs),
         ("hash", hash, mterm),
         ("eq", lambda t: t == mcopy, mterm),
+        ("once_td", lambda t: apply(never, t), pairs),
+        ("de_bruijn", de_bruijn, mterm),
+        ("local_state", lambda t: apply(count_ints, t), pairs),
+        ("encode", encode_all, decls),
     ]
     print(f"python {sys.version.split()[0]}")
     for name, fn, arg in ops:

@@ -17,9 +17,9 @@ Computations are ordinary values: the value itself for IDENTITY, a Just or
 NOTHING for PARTIAL, and a function from state to an inner computation of a
 (value, state) pair for StateOver.  An IDENTITY or PARTIAL computation is
 its own result; `run_state` runs a StateOver computation from an initial
-state.  Strategies run in Identity, Partial and StateOver over those,
-nested too: their loop reads computations in exactly these forms, so
-applying a strategy in a context of any other class is a TypeError.
+state.  Each context class also reads its computations for the strategy
+loop.  Strategies run in Identity, Partial and StateOver over those,
+nested too; applying a strategy in any other context is a TypeError.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ def is_just(m) -> bool:
     return isinstance(m, Just)
 
 
+_FAIL = object()  # a failed computation, as the strategy loop reads it
+
+
 class EffectContext:
     """Interface every effect context implements.
 
@@ -89,6 +92,9 @@ class EffectContext:
     laws.  Subclasses add capabilities by defining capability methods
     (`zero`/`plus`, `get`/`put`); `supports_failure` and `supports_state`
     test the class of a context, not which methods it defines.
+
+    `_read(comp, regs)` is how the strategy loop reads a computation: the
+    value, or _FAIL where it fails, and the state register after it.
     """
 
     kind = "abstract"
@@ -99,10 +105,14 @@ class EffectContext:
     def bind(self, comp, fn):
         raise NotImplementedError
 
+    def _read(self, comp, regs):
+        return comp, regs
+
     def __repr__(self):
         return f"<context {self.kind}>"
 
 
+@dataclass(frozen=True, repr=False)
 class Identity(EffectContext):
     """Effect-free context.  A computation is the value itself."""
 
@@ -114,13 +124,8 @@ class Identity(EffectContext):
     def bind(self, comp, fn):
         return fn(comp)
 
-    def __eq__(self, other):
-        return isinstance(other, Identity)
 
-    def __hash__(self):
-        return hash(Identity)
-
-
+@dataclass(frozen=True, repr=False)
 class Partial(EffectContext):
     """Context with failure.  A computation is Just(v) or NOTHING."""
 
@@ -145,13 +150,11 @@ class Partial(EffectContext):
         left = first()
         return left if isinstance(left, Just) else second()
 
-    def __eq__(self, other):
-        return isinstance(other, Partial)
-
-    def __hash__(self):
-        return hash(Partial)
+    def _read(self, comp, regs):
+        return (comp.value if isinstance(comp, Just) else _FAIL), regs
 
 
+@dataclass(frozen=True, repr=False)
 class StateOver(EffectContext):
     """State threaded over an inner context.
 
@@ -162,9 +165,7 @@ class StateOver(EffectContext):
     """
 
     kind = "state"
-
-    def __init__(self, inner: EffectContext):
-        self.inner = inner
+    inner: EffectContext
 
     def pure(self, value):
         return lambda s: self.inner.pure((value, s))
@@ -190,11 +191,12 @@ class StateOver(EffectContext):
     def put(self, new_state):
         return lambda s: self.inner.pure((None, new_state))
 
-    def __eq__(self, other):
-        return isinstance(other, StateOver) and self.inner == other.inner
-
-    def __hash__(self):
-        return hash((StateOver, self.inner))
+    def _read(self, comp, regs):
+        # Run on the first state, and read the inner computation against the rest.
+        pair, rest = self.inner._read(comp(regs[0]), regs[1:])
+        if pair is _FAIL:
+            return _FAIL, regs
+        return pair[0], (pair[1], *rest)
 
     def __repr__(self):
         return f"<context state over {self.inner.kind}>"

@@ -40,7 +40,7 @@ whose value it is, as `identity_tp` and `build_tu` are constant nodes.
 The states of a state context are a register tuple, which `choice` and
 `one` save and restore when a branch fails.  A `TP(ctx, fn)` or
 `TU(ctx, fn)` made from a function is a step: the loop calls it and
-reads its computation in its own context, as it reads an adhoc step's.
+reads its computation with the context's `_read`, as an adhoc step's.
 A node is callable, so `s.run(t)` is `apply(s, t)`.  The strategy a
 `let` body returns must live in the let's context; the loop checks this
 when the body is chosen, and raises the `ValueError` that `seq` and
@@ -63,10 +63,11 @@ strategy: the tags of the adhoc layers it can run, and its outcome on a
 term whose datatype reaches none of them at any depth.  Where that
 outcome is the empty result, a kid of such a datatype is not entered.
 The outcome cannot be read through a `let` or a step, such as an
-`msubst` along a user-written morphism, so any of them where the
-strategy would run on the kid switches pruning off for that layer, as
-does a strategy nested too deep to read.  A datatype declared but not
-yet defined may reach anything, so it is always entered.
+`msubst` along a user-written morphism, nor where a monoid's append or
+a result's `==` raises, so any of them where the strategy would run on
+the kid switches pruning off for that layer, as does a strategy nested
+too deep to read.  A datatype declared but not yet defined may reach
+anything, so it is always entered.
 """
 
 from __future__ import annotations
@@ -79,13 +80,12 @@ from .effects import (
     EffectContext,
     EffectMorphism,
     Identity,
-    Just,
     Monoid,
     Partial,
     StateOver,
     supports_failure,
 )
-from .effects import _recover, _unchanged, _unlift
+from .effects import _FAIL, _recover, _unchanged, _unlift
 from .terms import Term, TypeTag, _reach, rebuild, term
 
 __all__ = [
@@ -143,8 +143,6 @@ def apply(s: Strategy, t: Term):
     return _run(s.context, _node(s), t)
 
 
-# The loop's failure, passed back up its stack in place of a value.
-_FAIL = object()
 # The value of a `_Const` that stands for the term it is applied to.
 _TERM = object()
 
@@ -170,19 +168,19 @@ class _Const(_Node):
 
 class _Adhoc(_Node):
     # `steps` maps each tag of a chain of adhoc layers to its step; `tp`:
-    # wrap the step's value as a term; `read`: see `_reader`.
+    # wrap the step's value as a term; `read`: the context's `_read`.
     __slots__ = ("default", "steps", "tp", "read")
 
     def __init__(self, ctx, default, steps, tp):
         self.ctx, self.default, self.steps, self.tp = ctx, default, steps, tp
-        self.read = _reader(ctx)
+        self.read = ctx._read
 
 
 class _Step(_Node):
     __slots__ = ("fn", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn)
 
     def __init__(self, ctx, fn):
-        self.ctx, self.fn, self.read = ctx, fn, _reader(ctx)
+        self.ctx, self.fn, self.read = ctx, fn, ctx._read
 
 
 class _Seq(_Node):
@@ -373,29 +371,6 @@ def _run(ctx, node, t, regs=()):
     return ctx.pure(v)
 
 
-def _reader(ctx):
-    """How the loop reads a computation of `ctx`: (comp, regs) -> (value, regs).
-
-    The value is _FAIL where the computation fails.  A StateOver layer
-    runs the computation on the first state of the register and reads
-    the inner computation it returns against the rest.
-    """
-    kind = type(ctx)
-    if kind is Partial:
-        return lambda comp, regs: ((comp.value if isinstance(comp, Just) else _FAIL), regs)
-    if kind is not StateOver:  # Identity; `_run` refuses any other class first
-        return lambda comp, regs: (comp, regs)
-    inner = _reader(ctx.inner)
-
-    def read(comp, regs):
-        pair, rest = inner(comp(regs[0]), regs[1:])
-        if pair is _FAIL:
-            return _FAIL, regs
-        return pair[0], (pair[1], *rest)
-
-    return read
-
-
 # Outcomes `_Outcomes` reads besides _TERM, _FAIL and constants: one it
 # cannot tell, and the first guess for a self-reference (see `_Outcomes`).
 _UNKNOWN = object()
@@ -403,7 +378,10 @@ _ANY = object()
 
 
 def _same(a, b) -> bool:
-    return a is b or (type(a) is type(b) and a == b)
+    try:  # a value's own ==, which may raise or give a non-bool
+        return a is b or (type(a) is type(b) and (a == b) is True)
+    except Exception:
+        return False
 
 
 class _Outcomes:
@@ -451,7 +429,10 @@ class _Outcomes:
                 return second
             if first is _TERM or second is _TERM:
                 return _UNKNOWN
-            return node.append(first, second)
+            try:
+                return node.append(first, second)
+            except Exception:  # a monoid's append, which is user code
+                return _UNKNOWN
         if kind is _Choice:
             first = self.outcome(node.first, level)
             return self.outcome(node.second, level) if first is _FAIL else first
@@ -498,7 +479,7 @@ class _Skips(dict):
             try:
                 if _same(reader.outcome(layer.s, 0), layer.empty):
                     self.tags = frozenset(reader.tags)
-            except Exception:  # a monoid's append or ==, or a strategy nested too deep
+            except RecursionError:  # a strategy nested too deep to read
                 pass
         skip, known = {}, True
         for field in (tag.field_types if self.tags is not None else ()):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from strategem.effects import (
@@ -14,7 +19,9 @@ from strategem.effects import (
     PARTIAL_STATE,
     SET_UNION,
     STATE,
+    Identity,
     Just,
+    Partial,
     StateOver,
     identity_morphism,
     is_just,
@@ -24,6 +31,8 @@ from strategem.effects import (
     supports_state,
     unlift_state,
 )
+from strategem.strategies import TU, apply
+from strategem.terms import term
 
 # Partial computations and a pool of functions into them.
 
@@ -163,9 +172,69 @@ def test_capabilities():
     assert not hasattr(IDENTITY, "get") and not hasattr(PARTIAL, "put")
 
 
+_REPRS = {
+    IDENTITY: "<context identity>",
+    PARTIAL: "<context partial>",
+    STATE: "<context state over identity>",
+    PARTIAL_STATE: "<context state over partial>",
+    StateOver(STATE): "<context state over state>",
+}
+
+
 def test_context_equality():
     assert StateOver(IDENTITY) == STATE and StateOver(PARTIAL) == PARTIAL_STATE
     assert STATE != PARTIAL_STATE and IDENTITY != PARTIAL
+    # Contexts are values: equal ones hash alike, so they are one dict key.
+    fresh = (Identity(), Partial(), StateOver(Identity()), StateOver(Partial()), StateOver(STATE))
+    for ctx, twin in zip(_REPRS, fresh):
+        assert twin == ctx and hash(twin) == hash(ctx) and {ctx: 1, twin: 2} == {ctx: 2}
+    for ctx, text in _REPRS.items():
+        assert repr(ctx) == text
+        for twin in (copy.copy(ctx), copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+            assert twin == ctx and hash(twin) == hash(ctx) and repr(twin) == text
+    with pytest.raises(FrozenInstanceError):
+        STATE.inner = PARTIAL
+
+
+# The strategy loop reads a step's computation back out of its context:
+# packing the value it reads gives the computation back.
+
+
+def _comps(ctx):
+    # Computations built with the context's own operations.
+    leaves = [st.integers(-5, 5).map(ctx.pure)]
+    if supports_failure(ctx):
+        leaves.append(st.just(ctx.zero()))
+    if supports_state(ctx):
+        leaves += [st.just(ctx.get()), st.integers(-5, 5).map(ctx.put)]
+
+    def pair(first, second):
+        return ctx.bind(first, lambda v: ctx.bind(second, lambda w: ctx.pure((v, w))))
+
+    return st.recursive(st.one_of(leaves), lambda inner: st.builds(pair, inner, inner), max_leaves=6)
+
+
+@st.composite
+def _cases(draw):
+    # A context, a computation of it, and a state for each StateOver layer.
+    ctx = draw(st.sampled_from(list(_REPRS)))
+    layers, inner = 0, ctx
+    while isinstance(inner, StateOver):
+        layers, inner = layers + 1, inner.inner
+    return ctx, draw(_comps(ctx)), draw(st.lists(st.integers(-5, 5), min_size=layers, max_size=layers))
+
+
+def _run_from(comp, states):
+    for s in states:  # outermost layer first
+        comp = comp(s)
+    return comp
+
+
+@given(_cases())
+def test_reading_a_packed_computation_gives_it_back(case):
+    ctx, comp, states = case
+    read = apply(TU(ctx, lambda _t: comp), term(1))
+    assert _run_from(read, states) == _run_from(comp, states)
 
 
 # Monoid instances.
@@ -228,7 +297,5 @@ def test_unlift_state_discards_final_state(s0, s1):
 
 
 def test_unlift_state_needs_state_context():
-    import pytest
-
     with pytest.raises(TypeError):
         unlift_state(PARTIAL, 0)

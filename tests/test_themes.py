@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import gen_terms
 from oracles import collect_ints, collect_strings, first_success, preorder
+from strategem import strategies
 from strategem.effects import (
     IDENTITY,
     INT_SUM,
@@ -542,6 +543,32 @@ def test_a_guess_that_holds_only_at_leaves_prunes_nothing():
     )
     t = term([[1], []], list_of(list_of(INT)))
     assert apply(all_tu(rec, INT_SUM), t) == -2
+
+
+def test_a_fault_in_the_strategy_read_is_not_hidden(monkeypatch):
+    def broken(self, node, level):
+        raise KeyError("broken read")
+
+    monkeypatch.setattr(strategies._Outcomes, "outcome", broken)
+    with pytest.raises(KeyError, match="broken read"):
+        apply(topdown(inc_ints_step(IDENTITY)), nested_pair())
+
+
+class Tally:
+    """An int sum whose == refuses to compare."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        raise TypeError("a Tally does not compare")
+
+
+def test_a_result_whose_eq_raises_still_folds():
+    tally = Monoid(Tally(0), lambda a, b: Tally(a.n + b.n))
+    count = crush(adhoc_tu(build_tu(IDENTITY, Tally(0)), INT, lambda v: IDENTITY.pure(Tally(v))), tally)
+    t = term([(["a"], 1), (["b", "c"], 2)], list_of(pair_of(list_of(STR), INT)))
+    assert apply(count, t).n == 3
 
 
 # Pruned and unpruned runs agree.  The unpruned run is the same strategy
