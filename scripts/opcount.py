@@ -7,9 +7,12 @@ vary between runs.  This script builds fixed inputs (a generated `.ml0`
 module of 60 declarations and a 300-element list of pairs), runs each
 operation once to fill the caches, then counts the opcodes it executes
 under `sys.settrace`.  The first seven operations run in IDENTITY; the
-last four read the computations of PARTIAL, STATE and PARTIAL_STATE
-steps.  Work done in C (set and dict operations, builtins) is not
-counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
+next four read the computations of PARTIAL, STATE and PARTIAL_STATE
+steps.  The last two build their strategy inside the operation and run
+it on a one-element list, so they count the read behind pruning that
+each layer makes on its first run.  Work done in C (set and dict
+operations, builtins) is not counted.  Compare two trees by pointing
+PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
 """
@@ -34,6 +37,7 @@ from strategem import (
     pair_of,
     term,
     topdown,
+    try_,
 )
 from strategem.analyses import all_types, count_of_type, de_bruijn, encode, free_vars, inc_ints, no_codes, type_token
 from strategem.minilang import DECL, parse, to_term
@@ -68,6 +72,20 @@ def encode_all(terms) -> None:
         coder = encode(coder, t)[1]
 
 
+def read_nested(t):
+    """`topdown` nested 8 deep over an INT increment, built and applied."""
+    s = adhoc_tp(identity_tp(IDENTITY), INT, lambda n: n + 1)
+    for _ in range(8):
+        s = topdown(s)
+    return apply(s, t)
+
+
+def read_mixed(t):
+    """`topdown` over a `try_` of a `once_td`, built and applied."""
+    bump = adhoc_tp(fail_tp(PARTIAL), INT, lambda v: PARTIAL.pure(v + 1))
+    return apply(topdown(try_(once_td(bump))), t)
+
+
 def opcodes(fn, *args) -> int:
     """The opcodes executed by `fn(*args)`, in Python frames it enters."""
     count = 0
@@ -97,6 +115,7 @@ def main() -> None:
     never = once_td(adhoc_tp(fail_tp(PARTIAL), INT, lambda _n: PARTIAL.zero()))
     count_ints = local_state(0, topdown(adhoc_tp(identity_tp(PARTIAL_STATE), INT, tick)))
     decls = [to_term(d) for d in module.decls] * 2
+    one_pair = term([(True, 1)], list_of(pair_of(BOOL, INT)))
     ops = [
         ("inc_ints", inc_ints, mterm),
         ("all_types", all_types, module),
@@ -109,6 +128,8 @@ def main() -> None:
         ("de_bruijn", de_bruijn, mterm),
         ("local_state", lambda t: apply(count_ints, t), pairs),
         ("encode", encode_all, decls),
+        ("read_nested", read_nested, one_pair),
+        ("read_mixed", read_mixed, one_pair),
     ]
     print(f"python {sys.version.split()[0]}")
     for name, fn, arg in ops:

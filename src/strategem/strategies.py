@@ -40,7 +40,8 @@ whose value it is, as `identity_tp` and `build_tu` are constant nodes.
 The states of a state context are a register tuple, which `choice` and
 `one` save and restore when a branch fails.  A `TP(ctx, fn)` or
 `TU(ctx, fn)` made from a function is a step: the loop calls it and
-reads its computation with the context's `_read`, as an adhoc step's.
+reads its computation with the context's `_read`, as an adhoc step's, and
+raises `TypeError` where a TP step gives no term of its term's datatype.
 A node is callable, so `s.run(t)` is `apply(s, t)`.  The strategy a
 `let` body returns must live in the let's context; the loop checks this
 when the body is chosen, and raises the `ValueError` that `seq` and
@@ -65,9 +66,9 @@ outcome is the empty result, a kid of such a datatype is not entered.
 The outcome cannot be read through a `let` or a step, such as an
 `msubst` along a user-written morphism, nor where a monoid's append or
 a result's `==` raises, so any of them where the strategy would run on
-the kid switches pruning off for that layer, as does a strategy nested
-too deep to read.  A datatype declared but not yet defined may reach
-anything, so it is always entered.
+the kid switches pruning off for that layer, as does a strategy too large
+for the read, which stops after 10,000 nodes.  A datatype declared but
+not yet defined may reach anything, so it is always entered.
 """
 
 from __future__ import annotations
@@ -177,10 +178,11 @@ class _Adhoc(_Node):
 
 
 class _Step(_Node):
-    __slots__ = ("fn", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn)
+    __slots__ = ("fn", "tp", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn); tp: a TP's
 
-    def __init__(self, ctx, fn):
+    def __init__(self, ctx, fn, tp):
         self.ctx, self.fn, self.read = ctx, fn, ctx._read
+        self.tp = tp
 
 
 class _Seq(_Node):
@@ -294,6 +296,8 @@ def _loop(node, t, regs):
                 regs, node = (node.initial, *regs), node.s
             else:
                 v, regs = node.read(node.fn(t), regs)
+                if node.tp and v is not _FAIL and not (isinstance(v, Term) and v.tag is t.tag):
+                    raise TypeError(f"{v!r} is not a term of datatype {t.tag.name}")
                 break
         # Ascend: hand `v` to pending frames until one descends again.
         while stack:
@@ -359,7 +363,7 @@ def _run(ctx, node, t, regs=()):
     base = ctx
     while type(base) is StateOver:
         base = base.inner
-    if type(base) is not Identity and type(base) is not Partial:
+    if type(base) not in (Identity, Partial):
         raise TypeError(f"strategies run in Identity, Partial or StateOver over those, not {base!r}")
     if type(ctx) is StateOver:
         return lambda s: _run(ctx.inner, node, t, regs + (s,))
@@ -371,10 +375,8 @@ def _run(ctx, node, t, regs=()):
     return ctx.pure(v)
 
 
-# Outcomes `_Outcomes` reads besides _TERM, _FAIL and constants: one it
-# cannot tell, and the first guess for a self-reference (see `_Outcomes`).
+# The outcome `_outcome` cannot tell, and its mark of a part not read yet.
 _UNKNOWN = object()
-_ANY = object()
 
 
 def _same(a, b) -> bool:
@@ -384,74 +386,78 @@ def _same(a, b) -> bool:
         return False
 
 
-class _Outcomes:
-    """What a strategy gives on any term that reaches none of `tags`.
+def _outcome(node, tags):
+    """What `node` gives on any term that reaches none of `tags`.
 
-    `outcome(node, level)` is _TERM (the term itself), _FAIL, a constant
-    or _UNKNOWN, and `tags` collects the tags of the adhoc layers it
-    passes: such a term matches none of them.  `level` counts the all/one
-    nodes passed, each of which runs its strategy on smaller terms.
-
-    A _Ref is read twice.  The first pass guesses: met again below an
-    all/one, the _Ref is _ANY, which all and one read as if the term had
-    no kids.  The second pass checks: met again there, the _Ref is the
-    guess, and if its body then gives the guess, the guess holds by
-    induction on the size of the term.  Met again anywhere else, it is
-    _UNKNOWN.  _UNKNOWN absorbs every outcome it meets, so a known outcome
-    rests on no unchecked guess.  Steps and lets are _UNKNOWN.
+    The outcome is _TERM (the term itself), _FAIL, a constant or _UNKNOWN;
+    `tags` collects the tags of the adhoc layers passed.  Each node is read
+    once, on a stack of (node, first) frames, `first` being a _Seq's or
+    _Choice's first outcome.  A _Ref met again below an all/one, which runs
+    it on smaller terms, is `assumed` to give the empty result of the
+    innermost one, the last of `empties`; if its body then gives that too,
+    this holds by induction on the size of the term.  Met again with as many
+    all/one open as on its entry (`entered`) it is _UNKNOWN, as are steps and
+    lets, and the read ends there: _UNKNOWN absorbs all above it.
     """
-
-    def __init__(self):
-        self.tags, self.guesses = set(), {}
-        # Nodes read; past it every outcome is _UNKNOWN.  Each pass over a
-        # _Ref reads the _Refs nested in it twice, so the count doubles with
-        # each level of nesting.
-        self.budget = 10_000
-
-    def outcome(self, node, level):
-        self.budget -= 1
-        if self.budget < 0:
-            return _UNKNOWN
-        kind = type(node)
-        if kind is _Const:
-            return node.value
-        if kind is _Adhoc:
-            self.tags.update(node.steps)
-            return self.outcome(node.default, level)
-        if kind is _Seq:
-            first = self.outcome(node.first, level)
-            if first is _FAIL or first is _UNKNOWN or first is _ANY:
-                return first
-            if node.append is None:
-                return self.outcome(node.second, level) if first is _TERM else _UNKNOWN
-            second = self.outcome(node.second, level)
-            if second is _FAIL or second is _UNKNOWN or second is _ANY:
-                return second
-            if first is _TERM or second is _TERM:
+    stack, empties, entered, assumed = [], [], {}, {}
+    push, pop, budget = stack.append, stack.pop, 10_000  # nodes to read
+    while True:
+        # Descend: read `node` until it gives an outcome `v`.
+        while True:
+            budget -= 1
+            if budget < 0:
                 return _UNKNOWN
-            try:
-                return node.append(first, second)
-            except Exception:  # a monoid's append, which is user code
+            kind = type(node)
+            if kind is _Const:
+                v = node.value
+                break
+            if kind is _Adhoc:
+                tags.update(node.steps)
+                node = node.default
+            elif kind is _Seq or kind is _Choice:
+                push((node, _UNKNOWN))
+                node = node.first
+            elif kind is _Layer:
+                push((node, _UNKNOWN))
+                empties.append(node.empty)
+                node = node.s
+            elif kind is _Unlift:
+                node = node.s
+            elif kind is not _Ref or entered.get(node) == len(empties):
                 return _UNKNOWN
-        if kind is _Choice:
-            first = self.outcome(node.first, level)
-            return self.outcome(node.second, level) if first is _FAIL else first
-        if kind is _Layer:
-            v = self.outcome(node.s, level + 1)
-            return node.empty if v is _ANY or _same(v, node.empty) else _UNKNOWN
-        if kind is _Unlift:
-            return self.outcome(node.s, level)
-        if kind is _Ref:
-            if node in self.guesses:
-                entered, guess = self.guesses[node]
-                return guess if level > entered else _UNKNOWN
-            self.guesses[node] = (level, _ANY)
-            guess = self.outcome(node.body, level)
-            self.guesses[node] = (level, guess)
-            v = self.outcome(node.body, level) if guess is not _UNKNOWN else _UNKNOWN
-            del self.guesses[node]
-            return v if _same(v, guess) else _UNKNOWN
-        return _UNKNOWN
+            elif node in entered:
+                v = assumed.setdefault(node, empties[-1])
+                break
+            else:
+                entered[node] = len(empties)
+                push((node, _UNKNOWN))
+                node = node.body
+        # Ascend: hand `v` to pending frames until one reads a second part.
+        while True:
+            if v is _UNKNOWN or not stack:
+                return v
+            node, first = pop()
+            kind = type(node)
+            if kind is _Layer:
+                v = node.empty if _same(v, empties.pop()) else _UNKNOWN
+            elif kind is _Ref:
+                del entered[node]
+                v = v if _same(v, assumed.pop(node, v)) else _UNKNOWN
+            elif first is _UNKNOWN and (v is _FAIL) is (kind is _Choice):
+                # A _Choice's first part failed, or a _Seq's worked, where one
+                # that runs its second part on the first's output needs _TERM.
+                if kind is _Seq and node.append is None and v is not _TERM:
+                    return _UNKNOWN
+                push((node, v))
+                node = node.second
+                break
+            elif kind is _Seq and node.append is not None and first is not _UNKNOWN and v is not _FAIL:
+                if first is _TERM or v is _TERM:
+                    return _UNKNOWN
+                try:
+                    v = node.append(first, v)
+                except Exception:  # a monoid's append, which is user code
+                    return _UNKNOWN
 
 
 class _Skips(dict):
@@ -462,9 +468,9 @@ class _Skips(dict):
     datatype is skipped: it is when it reaches none of `tags`.  Filled on
     demand; a field datatype whose reach is not known yet is not skipped,
     and the answer is not kept.  The first miss reads the strategy of
-    `layer` (see the module docstring): `tags` are the tags of the adhoc
-    layers it can run, or None, which skips no kid, where its outcome is
-    not the layer's empty result.
+    `layer` with `_outcome`: `tags` are the tags of the adhoc layers it can
+    run, or None, which skips no kid, where its outcome is not the layer's
+    empty result or is past the read's budget.
     """
 
     __slots__ = ("layer", "tags")
@@ -475,12 +481,9 @@ class _Skips(dict):
 
     def __missing__(self, tag):
         if self.layer is not None:
-            layer, self.layer, reader = self.layer, None, _Outcomes()
-            try:
-                if _same(reader.outcome(layer.s, 0), layer.empty):
-                    self.tags = frozenset(reader.tags)
-            except RecursionError:  # a strategy nested too deep to read
-                pass
+            layer, self.layer, tags = self.layer, None, set()
+            if _same(_outcome(layer.s, tags), layer.empty):
+                self.tags = frozenset(tags)
         skip, known = {}, True
         for field in (tag.field_types if self.tags is not None else ()):
             reach = _reach(field)
@@ -496,7 +499,9 @@ class _Skips(dict):
 def _node(s: Strategy):
     # The node of `s`, a step around a function; one of another context is
     # refused, as seq and choice refuse mixed contexts.
-    node = s.run if isinstance(s.run, _Node) else _Step(s.context, s.run)
+    node = s.run
+    if not isinstance(node, _Node):
+        return _Step(s.context, node, isinstance(s, TP))
     if node.ctx is not s.context:
         _same_context(s.context, node.ctx)
     return node
@@ -661,7 +666,7 @@ def _msubst(kind, morphism, s):
         return kind(ctx, _Unlift(ctx, node, run.args[1]))
     if func is _unchanged:
         return kind(ctx, node)
-    return kind(ctx, _Step(ctx, lambda t: run(_run(morphism.source, node, t))))
+    return kind(ctx, _Step(ctx, lambda t: run(_run(morphism.source, node, t)), kind is TP))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:

@@ -31,7 +31,7 @@ from strategem.effects import (
     supports_failure,
     supports_state,
 )
-from strategem.minilang import App, LitInt, Var, to_term
+from strategem.minilang import App, FunBind, LitInt, Var, to_term
 from strategem.strategies import (
     _recursive,
     adhoc_tp,
@@ -60,6 +60,7 @@ from strategem.themes import (
     stop_td_tu,
     topdown,
 )
+from test_themes import function_of, opaque_module
 
 LENGTH = 100_000
 DEPTH = 10_000
@@ -325,11 +326,26 @@ def test_topdown_and_bottomup_agree_on_large_terms(row_values, long_values):
 
 
 # Deep strategies, not only deep terms.  A traversal reads its strategy once
-# before pruning; that read recurses on the strategy's nesting, and where it
-# runs out of stack pruning is off, so the traversal still completes.
+# before pruning, on an explicit stack, within a budget of 10,000 nodes: a
+# `seq_tp` chain of 2,000 INT steps is read and prunes, one of 5,000 is past
+# the budget and runs unpruned, and both complete.
 
 CHAIN = 5_000
 SHORT = list(range(10))
+
+
+@pytest.mark.parametrize("ctx", ALL)
+def test_topdown_of_a_seq_chain_within_the_read_budget_prunes(ctx):
+    assert sys.getrecursionlimit() == 1000
+    ctx = CONTEXTS[ctx]
+    inc = adhoc_tp(identity_tp(ctx), INT, lambda v: counted(ctx, v + 1))
+    s = inc
+    for _ in range(2_000 - 1):
+        s = seq_tp(s, inc)
+    # Entering the module's type would raise KeyError.
+    value, state = outcome(ctx, apply(topdown(s), opaque_module()))
+    assert function_of(value) == FunBind("f", (), LitInt(2_001))
+    assert state == (2_000 if supports_state(ctx) else None)
 
 
 @pytest.mark.parametrize("ctx", ALL)

@@ -158,6 +158,17 @@ def test_adhoc_checks_replacement_type():
         apply(s, term(1))
 
 
+@pytest.mark.parametrize("ctx", [IDENTITY, PARTIAL])
+def test_a_tp_step_must_keep_the_datatype(ctx):
+    # A step's term of another datatype, or a value that is no term, is
+    # refused where the step returns it, as an adhoc step's is.
+    with pytest.raises(TypeError, match="'x' : Str.* is not a term of datatype Int"):
+        apply(TP(ctx, lambda t: ctx.pure(term("x"))), term(1))
+    with pytest.raises(TypeError, match="5 is not a term of datatype Int"):
+        apply(all_tp(TP(ctx, lambda t: ctx.pure(5))), term((1, 2), pair_of(INT, INT)))
+    assert apply(TP(ctx, lambda t: ctx.pure(term(2))), term(1)) == ctx.pure(term(2))
+
+
 def test_adhoc_tu():
     s = adhoc_tu(build_tu(IDENTITY, 0), INT, lambda v: IDENTITY.pure(v * v))
     assert apply(s, term(6)) == 36

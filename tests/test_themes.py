@@ -40,10 +40,14 @@ from strategem.minilang import (
     PATTERN,
     TYPE,
     App,
+    FunBind,
     Lam,
     Let,
     LitInt,
+    Module,
     PVar,
+    TyCon,
+    TypeSyn,
     Var,
     parse,
     to_term,
@@ -63,6 +67,7 @@ from strategem.strategies import (
     msubst_tp,
     msubst_tu,
     one_tp,
+    seq_tu,
     tp_ops,
     tu_ops,
 )
@@ -79,6 +84,7 @@ from strategem.terms import (
     register_descriptors,
     term,
 )
+from test_analyses import Opaque
 from strategem.themes import (
     bottomup,
     crush,
@@ -546,10 +552,10 @@ def test_a_guess_that_holds_only_at_leaves_prunes_nothing():
 
 
 def test_a_fault_in_the_strategy_read_is_not_hidden(monkeypatch):
-    def broken(self, node, level):
+    def broken(node, tags):
         raise KeyError("broken read")
 
-    monkeypatch.setattr(strategies._Outcomes, "outcome", broken)
+    monkeypatch.setattr(strategies, "_outcome", broken)
     with pytest.raises(KeyError, match="broken read"):
         apply(topdown(inc_ints_step(IDENTITY)), nested_pair())
 
@@ -569,6 +575,44 @@ def test_a_result_whose_eq_raises_still_folds():
     count = crush(adhoc_tu(build_tu(IDENTITY, Tally(0)), INT, lambda v: IDENTITY.pure(Tally(v))), tally)
     t = term([(["a"], 1), (["b", "c"], 2)], list_of(pair_of(list_of(STR), INT)))
     assert apply(count, t).n == 3
+
+
+def opaque_module(rhs=None):
+    """A module whose synonym's type, by default, fails a traversal entering it."""
+    rhs = Opaque() if rhs is None else rhs
+    return to_term(Module("M", (TypeSyn("T", rhs), FunBind("f", (), LitInt(1)))))
+
+
+def function_of(module):
+    """The function binding of an `opaque_module`, after a traversal."""
+    return module.value.decls[1]
+
+
+# The read behind pruning takes each self-reference met again below an
+# all/one to give the empty result of the innermost one, and checks that
+# its body gives that too.  Where the read holds, no layer enters the type.
+
+
+def test_nested_topdowns_prune():
+    s = inc_ints_step(IDENTITY)
+    for _ in range(12):
+        s = topdown(s)
+    plain = apply(s, opaque_module(TyCon("Int")))
+    assert function_of(apply(s, opaque_module())) == function_of(plain) != FunBind("f", (), LitInt(1))
+
+
+def test_a_self_reference_assumes_the_innermost_empty_result():
+    # once_td's self-reference gives failure, the empty result of its one,
+    # not the term itself, that of topdown's all_tp, even where it is met
+    # below both; crush's gives 0 below its all_tu, and topdown's the term
+    # itself below its all_tp.
+    bump = adhoc_tp(fail_tp(PARTIAL), INT, lambda v: PARTIAL.pure(v + 1))
+    for s in (topdown(try_(once_td(bump))), topdown(all_tp(try_(once_td(bump))))):
+        plain = apply(s, opaque_module(TyCon("Int"))).value
+        assert function_of(apply(s, opaque_module()).value) == function_of(plain) != FunBind("f", (), LitInt(1))
+    count = adhoc_tu(build_tu(IDENTITY, 0), INT, IDENTITY.pure)
+    s = crush(seq_tu(topdown(inc_ints_step(IDENTITY)), count), INT_SUM)
+    assert apply(s, opaque_module()) == 2
 
 
 # Pruned and unpruned runs agree.  The unpruned run is the same strategy
