@@ -8,9 +8,10 @@ module of 60 declarations and a 300-element list of pairs), runs each
 operation once to fill the caches, then counts the opcodes it executes
 under `sys.settrace`.  The first seven operations run in IDENTITY; the
 next four read the computations of PARTIAL, STATE and PARTIAL_STATE
-steps.  The last two build their strategy inside the operation and run
+steps.  The next two build their strategy inside the operation and run
 it on a one-element list, so they count the read behind pruning that
-each layer makes on its first run.  Work done in C (set and dict
+each layer makes on its first run.  The last, `pretty`, renders the
+module's syntax value to text.  Work done in C (set and dict
 operations, builtins) is not counted.  Compare two trees by pointing
 PYTHONPATH at each `src/`:
 
@@ -40,7 +41,7 @@ from strategem import (
     try_,
 )
 from strategem.analyses import all_types, count_of_type, de_bruijn, encode, free_vars, inc_ints, no_codes, type_token
-from strategem.minilang import DECL, parse, to_term
+from strategem.minilang import DECL, parse, pretty, to_term
 
 
 def module_text(n: int) -> str:
@@ -130,6 +131,7 @@ def main() -> None:
         ("encode", encode_all, decls),
         ("read_nested", read_nested, one_pair),
         ("read_mixed", read_mixed, one_pair),
+        ("pretty", pretty, module),
     ]
     print(f"python {sys.version.split()[0]}")
     for name, fn, arg in ops:

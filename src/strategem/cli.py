@@ -5,11 +5,13 @@ Usage: strategem <command> [--name N] [--format text|structured] <file.ml0>
 Transformation commands print the rewritten module; analysis commands
 print their result, one item per line for name sets, sorted.  The
 structured format prints one JSON document with the fields `command`,
-`input` and `result`.  Exit status: 0 on success, 1 when an analysis or
-guard fails (for example no focus), 2 on a syntax error, which is
-reported with line and column on stderr, 2 on a file that cannot be
-read or is not ASCII text, and 2 when the output cannot be written, for
-example to a pipe its reader has closed.
+`input` and `result`.  A rewritten module or expression is written as it
+is rendered, chunk by chunk, and is never held as one string; the
+command's analysis finishes before the first write.  Exit status: 0 on
+success, 1 when an analysis or guard fails (for example no focus), 2 on
+a syntax error, which is reported with line and column on stderr, 2 on a
+file that cannot be read or is not ASCII text, and 2 when the output
+cannot be written, for example to a pipe its reader has closed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .analyses import (
     to_alias,
     type_token,
 )
-from .minilang import DECL, MODULE, ParseError, parse, pretty, pretty_expr, to_term
+from .minilang import DECL, MODULE, ParseError, parse, pretty_chunks, to_term
 from .terms import cast
 
 __all__ = ["main", "entry"]
@@ -42,7 +44,7 @@ __all__ = ["main", "entry"]
 # command -> (help, takes --name, action on the parsed arguments and the module)
 _COMMANDS = {
     "inc-ints": ("add one to every integer literal", False,
-                 lambda args, m: pretty(cast(inc_ints(to_term(m)), MODULE).value)),
+                 lambda args, m: pretty_chunks(cast(inc_ints(to_term(m)), MODULE).value)),
     "collect-types": ("list every declared or used type name", False,
                       lambda args, m: sorted(all_types(m))),
     "fresh-type": ("check that a type name is unused", True,
@@ -52,11 +54,11 @@ _COMMANDS = {
     "count-decls": ("count the declarations", False,
                     lambda args, m: count_of_type(type_token(DECL), to_term(m))),
     "debruijn": ("replace every string atom with a fresh name", False,
-                 lambda args, m: pretty(cast(de_bruijn(to_term(m)), MODULE).value)),
+                 lambda args, m: pretty_chunks(cast(de_bruijn(to_term(m)), MODULE).value)),
     "to-alias": ("fold the focused type into a synonym", True,
-                 lambda args, m: pretty(to_alias(args.name, m))),
+                 lambda args, m: pretty_chunks(to_alias(args.name, m))),
     "select-focus": ("print the focused expression", False,
-                     lambda args, m: pretty_expr(select_focus(m))),
+                     lambda args, m: pretty_chunks(select_focus(m))),
 }
 
 
@@ -68,10 +70,29 @@ def _print_text(result):
     elif isinstance(result, list):
         for item in result:
             print(item)
-    elif result.endswith("\n"):
-        sys.stdout.write(result)
-    else:
-        print(result)
+    else:  # rendered text, written chunk by chunk and ended with a newline
+        last = ""
+        for chunk in result:
+            sys.stdout.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
+            sys.stdout.write("\n")
+
+
+def _print_structured(command, path, result):
+    rendered = not isinstance(result, (bool, int, list))
+    doc = {"command": command, "input": path, "result": "" if rendered else result}
+    text = json.dumps(doc, indent=2)
+    if not rendered:
+        print(text)
+        return
+    # JSON escapes a string one character at a time, so the chunks escaped
+    # one by one make up the escaped whole.  `result` is the last field.
+    head, tail = text.rsplit('""', 1)
+    sys.stdout.write(head + '"')
+    for chunk in result:
+        sys.stdout.write(json.dumps(chunk)[1:-1])
+    sys.stdout.write('"' + tail + "\n")
 
 
 def _build_parser():
@@ -114,8 +135,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if args.format == "structured":
-            doc = {"command": args.command, "input": args.file, "result": result}
-            print(json.dumps(doc, indent=2))
+            _print_structured(args.command, args.file, result)
         else:
             _print_text(result)
         sys.stdout.flush()

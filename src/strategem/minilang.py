@@ -28,9 +28,11 @@ type application associate left, function arrows associate right.
 
 `parse` and `pretty` round-trip: parsing the pretty form of a module gives
 the module back.  `pretty` renders any syntax fragment: a module, a
-declaration, a type, an expression or a pattern.  Neither `parse` nor
-`pretty` recurses, so they have no depth limit.  The dataclass `==`,
-`repr` and `hash` do recurse on deep values; compare those as terms.
+declaration, a type, an expression or a pattern; `pretty_chunks` gives
+the same text as chunks in output order, without joining it.  Neither
+`parse` nor `pretty` recurses, so they have no depth limit.  The
+dataclass `==`, `repr` and `hash` do recurse on deep values; compare
+those as terms.
 
 The abstract syntax is registered for generic traversal at import time;
 `to_term` wraps any syntax value, and the tags MODULE, DECL, TYPE, EXPR
@@ -42,6 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 from typing import NamedTuple, TypeAlias
 
 from .terms import Registry, Term
@@ -74,6 +77,7 @@ __all__ = [
     "MultipleFociError",
     "parse",
     "pretty",
+    "pretty_chunks",
     "pretty_expr",
     "pretty_type",
     "REGISTRY",
@@ -480,7 +484,7 @@ _LAYOUT = {
     Var: (_ATOM, lambda e: [e.name]),
     Con: (_ATOM, lambda e: [e.name]),
     LitInt: (_ATOM, lambda e: [str(e.value)]),
-    LitStr: (_ATOM, lambda e: [f'"{e.value}"']),
+    LitStr: (_ATOM, lambda e: ['"', e.value, '"']),
     App: (_APP, lambda e: [(e.fn, _APP), " ", (e.arg, _ATOM)]),
     Lam: (_ARROW, lambda e: ["\\", (e.param, _ATOM), " -> ", (e.body, _ARROW)]),
     Let: (_ARROW, lambda e: ["let ", e.name, " = ", (e.bound, _ARROW), " in ", (e.body, _ARROW)]),
@@ -488,11 +492,27 @@ _LAYOUT = {
 }
 
 
-def pretty(node) -> str:
-    """Render any syntax value: a module, declaration, type, expression or pattern.
+# `pretty_chunks` hands on the parts it has gathered once more than
+# _BATCH_PARTS are waiting; a part of _LONG_PART characters or more, mostly
+# a name the syntax value holds, is handed on as it is, not copied.
+_BATCH_PARTS = 512
+_LONG_PART = 256
 
-    Parsing the rendering of a module gives the module back.  `pending` holds
-    the parts still to write, the next one last.
+
+def _batch(parts):
+    """The chunks of `parts`: runs of short parts joined, long parts as they are."""
+    if max(map(len, parts)) < _LONG_PART:
+        yield "".join(parts)
+        return
+    for long, run in groupby(parts, lambda part: len(part) >= _LONG_PART):
+        yield from run if long else ("".join(run),)
+
+
+def pretty_chunks(node):
+    """The rendering of `pretty(node)`, as chunks of text in output order.
+
+    `pending` holds the parts still to write, the next one last; `out`
+    the parts written since the last chunk.
     """
     out = []
     pending = [(node, _ARROW)]
@@ -501,11 +521,23 @@ def pretty(node) -> str:
         if isinstance(part, str):
             out.append(part)
             continue
+        if len(out) > _BATCH_PARTS:
+            yield from _batch(out)
+            out = []
         node, place = part
         own, layout = _LAYOUT[type(node)]
         parts = layout(node) if own >= place else ["(", *layout(node), ")"]
         pending += reversed(parts)
-    return "".join(out)
+    if out:
+        yield from _batch(out)
+
+
+def pretty(node) -> str:
+    """Render any syntax value: a module, declaration, type, expression or pattern.
+
+    Parsing the rendering of a module gives the module back.
+    """
+    return "".join(pretty_chunks(node))
 
 
 pretty_type = pretty_expr = pretty

@@ -661,7 +661,10 @@ def _msubst(kind, morphism, s):
     ctx, node, run = morphism.target, _node(s), morphism.run
     func = getattr(run, "func", run)  # a library morphism's, bound by partial
     if func is _recover:
-        return kind(ctx, _Choice(ctx, node, _Const(ctx, run.args[0])))
+        default = run.args[0]
+        # A TP hands the default out through a checked step, as any step's value.
+        fallback = _Step(ctx, lambda t: default, True) if kind is TP else _Const(ctx, default)
+        return kind(ctx, _Choice(ctx, node, fallback))
     if func is _unlift:
         return kind(ctx, _Unlift(ctx, node, run.args[1]))
     if func is _unchanged:

@@ -8,13 +8,16 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strategem.cli import main
+from strategem.analyses import de_bruijn
+from strategem.cli import _print_structured, main
+from strategem.minilang import parse, to_term
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -213,24 +216,40 @@ def test_structured_output_shape(capsys):
 
 
 def test_structured_and_text_agree(capsys):
-    path = str(CORPUS / "funs.ml0")
-    for argv in COMMANDS:
-        if argv[0] in ("select-focus", "to-alias"):
-            continue
-        code_t, out_t, _ = run(capsys, *argv, path)
-        code_s, out_s, _ = run(capsys, *argv, "--format", "structured", path)
-        assert code_t == code_s == 0
-        doc = json.loads(out_s)
-        assert doc["command"] == argv[0]
-        result = doc["result"]
-        if isinstance(result, bool):
-            assert out_t == ("true\n" if result else "false\n")
-        elif isinstance(result, int):
-            assert out_t == f"{result}\n"
-        elif isinstance(result, list):
-            assert out_t == "".join(f"{item}\n" for item in result)
-        else:
-            assert out_t == result
+    for path in map(str, sorted(CORPUS.glob("*.ml0")) + sorted((CORPUS / "toalias").glob("*.ml0"))):
+        for argv in COMMANDS:
+            code_t, out_t, _ = run(capsys, *argv, path)
+            code_s, out_s, _ = run(capsys, *argv, "--format", "structured", path)
+            assert code_t == code_s, (argv, path)
+            if code_t != 0:
+                assert out_t == out_s == ""
+                continue
+            doc = json.loads(out_s)
+            assert (doc["command"], doc["input"]) == (argv[0], path)
+            result = doc["result"]
+            if isinstance(result, bool):
+                assert out_t == ("true\n" if result else "false\n")
+            elif isinstance(result, int):
+                assert out_t == f"{result}\n"
+            elif isinstance(result, list):
+                assert out_t == "".join(f"{item}\n" for item in result)
+            else:
+                assert out_t == result + ("" if result.endswith("\n") else "\n")
+
+
+# JSON escapes these: quotes, backslashes and control characters; `</` is kept.
+_JSON_TEXT = st.lists(st.sampled_from(['"', "\\", "</", "a", *map(chr, range(0x20))])).map("".join)
+
+
+@given(text=_JSON_TEXT, path=_JSON_TEXT, data=st.data())
+def test_streamed_structured_output_is_exact(text, path, data):
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)))))
+    chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_structured("debruijn", path, iter(chunks))
+    doc = {"command": "debruijn", "input": path, "result": text}
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_every_command_is_deterministic(capsys):
@@ -279,20 +298,71 @@ def test_python_dash_m_invocation():
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_a_reader_that_closes_the_pipe_gets_exit_two_and_no_traceback(tmp_path, fmt):
-    # About 110 KB of free names: more than a pipe holds, so writes fail
-    # after the reader has gone.
-    path = tmp_path / "long.ml0"
+    # More output than a pipe holds, so writes fail after the reader has
+    # gone: about 110 KB of free names, and a rendered module of about
+    # 180 KB, whose k-th name `debruijn` makes k characters long.
+    names = tmp_path / "names.ml0"
     decls = (f"x{i} = free_{'n' * 100}_{i}" for i in range(1_000))
-    path.write_text("module M where\n" + "\n".join(decls) + "\n")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "strategem", "free-vars", "--format", fmt, str(path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert err == "<stdout>: write failed: Broken pipe\n"
+    names.write_text("module M where\n" + "\n".join(decls) + "\n")
+    module = tmp_path / "module.ml0"
+    module.write_text("module M where\n" + "".join(f"x{i} = y{i}\n" for i in range(300)))
+    for command, path in (("free-vars", names), ("debruijn", module)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "strategem", command, "--format", fmt, str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, command
+        assert err == "<stdout>: write failed: Broken pipe\n", command
+
+
+# Memory.
+
+
+class _Keep:
+    """A stream that keeps the chunks written to it."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_debruijn_output_is_not_held_twice(tmp_path):
+    # `debruijn` makes the k-th string atom k characters long, so the names
+    # of 4,401 atoms dominate the memory of the rewritten module.  Written as
+    # rendered, the output adds little to what the rewrite alone holds; a
+    # joined copy of it would nearly double it.
+    source = "module M where\n" + "".join(f"f{i} = g{' x' * 9}\n" for i in range(400))
+    path = tmp_path / "names.ml0"
+    path.write_text(source)
+
+    def cli():
+        with contextlib.redirect_stdout(_Keep()):
+            assert main(["debruijn", str(path)]) == 0
+
+    def rewrite():
+        de_bruijn(to_term(parse(source)))
+
+    cli()  # fill the caches first
+    rewrite()
+    assert _traced_peak(cli) <= 1.3 * _traced_peak(rewrite)

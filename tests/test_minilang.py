@@ -40,6 +40,7 @@ from strategem.minilang import (
     Var,
     parse,
     pretty,
+    pretty_chunks,
     pretty_expr,
     pretty_type,
     to_term,
@@ -347,6 +348,16 @@ def test_pretty_renders_any_fragment():
     assert pretty(PCon("P", (PCon("Q", ()), PVar("y")))) == "(P (Q) y)"
     assert pretty(TyFun(TyCon("A"), TyCon("B"))) == "A -> B"
     assert pretty_type is pretty_expr is pretty
+
+
+def test_pretty_chunks_hand_long_parts_on_as_they_are():
+    # Many declarations, so the parts are handed on in more than one batch.
+    names = ["v" * n for n in range(200, 1200)]
+    m = Module("M", tuple(FunBind(f"f{i}", (), App(Var(v), LitStr(v))) for i, v in enumerate(names)))
+    chunks = list(pretty_chunks(m))
+    assert len(chunks) > 1 and "".join(chunks) == pretty(m)
+    kept = {id(c) for c in chunks}
+    assert all(id(v) in kept for v in names if len(v) >= 256)
 
 
 def test_pretty_expr_precedence():

@@ -487,6 +487,15 @@ def test_msubst_moves_contexts():
     assert apply(u, term(9)) == -1
 
 
+def test_partial_to_identity_checks_the_default_of_a_transformation():
+    # The default stands in for a term, so it is checked as a step's value.
+    recovered = msubst_tp(partial_to_identity(5), fail_tp(PARTIAL))
+    with pytest.raises(TypeError, match="5 is not a term of datatype Int"):
+        apply(recovered, term(1))
+    with pytest.raises(TypeError, match="5 is not a term of datatype Int"):
+        apply(all_tp(recovered), term((1, 2), pair_of(INT, INT)))
+
+
 def test_msubst_with_identity_morphism_is_inert():
     s = inc_int(identity_tp(PARTIAL))
     moved = msubst_tp(identity_morphism(PARTIAL), s)
