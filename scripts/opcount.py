@@ -10,10 +10,12 @@ under `sys.settrace`.  The first seven operations run in IDENTITY; the
 next four read the computations of PARTIAL, STATE and PARTIAL_STATE
 steps.  The next two build their strategy inside the operation and run
 it on a one-element list, so they count the read behind pruning that
-each layer makes on its first run.  The last, `pretty`, renders the
-module's syntax value to text.  Work done in C (set and dict
-operations, builtins) is not counted.  Compare two trees by pointing
-PYTHONPATH at each `src/`:
+each layer makes on its first run.  `pretty` renders the module's
+syntax value to text.  The last, `to_alias`, runs on the module with one
+more declaration, which holds a type focus equal to a synonym's
+right-hand side, so it rebuilds each term on the path to the focus
+through `one_tp`.  Work done in C (set and dict operations, builtins) is
+not counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
 """
@@ -40,7 +42,17 @@ from strategem import (
     topdown,
     try_,
 )
-from strategem.analyses import all_types, count_of_type, de_bruijn, encode, free_vars, inc_ints, no_codes, type_token
+from strategem.analyses import (
+    all_types,
+    count_of_type,
+    de_bruijn,
+    encode,
+    free_vars,
+    inc_ints,
+    no_codes,
+    to_alias,
+    type_token,
+)
 from strategem.minilang import DECL, parse, pretty, to_term
 
 
@@ -117,6 +129,7 @@ def main() -> None:
     count_ints = local_state(0, topdown(adhoc_tp(identity_tp(PARTIAL_STATE), INT, tick)))
     decls = [to_term(d) for d in module.decls] * 2
     one_pair = term([(True, 1)], list_of(pair_of(BOOL, INT)))
+    focused = parse(text + "data Focus = MkFocus << Int -> D0 >>\n")  # the focus is S1's right-hand side
     ops = [
         ("inc_ints", inc_ints, mterm),
         ("all_types", all_types, module),
@@ -132,6 +145,7 @@ def main() -> None:
         ("read_nested", read_nested, one_pair),
         ("read_mixed", read_mixed, one_pair),
         ("pretty", pretty, module),
+        ("to_alias", lambda m: to_alias("S1", m), focused),
     ]
     print(f"python {sys.version.split()[0]}")
     for name, fn, arg in ops:

@@ -17,6 +17,7 @@ cannot be written, for example to a pipe its reader has closed.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -133,6 +134,10 @@ def main(argv=None) -> int:
     except (NoFocus, NoSuchAlias, GuardFailed) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Under `python -u` text drops the rest of a short raw write; buffering retries it.
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(stdout.buffer), stdout.encoding, stdout.errors)
     try:
         if args.format == "structured":
             _print_structured(args.command, args.file, result)
@@ -147,6 +152,10 @@ def main(argv=None) -> int:
         os.close(devnull)
         print(f"<stdout>: write failed: {exc.strerror}", file=sys.stderr)
         return 2
+    finally:
+        if sys.stdout is not stdout:  # flush, and leave the raw file open
+            sys.stdout.detach().detach()
+            sys.stdout = stdout
     return 0
 
 

@@ -9,7 +9,8 @@ A strategy is a first-class generic function on terms.  Two kinds exist:
 
 Both kinds carry the effect context their computations live in.  Apply a
 strategy with `apply`; everything else builds strategies from strategies.
-The basic vocabulary:
+Both check the kind (`TypeError`) and context (`ValueError`) of each
+strategy they are given, and of the node it wraps.  The basic vocabulary:
 
   identity_tp, build_tu     generic success
   fail_tp, fail_tu          generic failure (needs a partial context)
@@ -43,9 +44,9 @@ The states of a state context are a register tuple, which `choice` and
 reads its computation with the context's `_read`, as an adhoc step's, and
 raises `TypeError` where a TP step gives no term of its term's datatype.
 A node is callable, so `s.run(t)` is `apply(s, t)`.  The strategy a
-`let` body returns must live in the let's context; the loop checks this
-when the body is chosen, and raises the `ValueError` that `seq` and
-`choice` raise at construction.
+`let` body returns is checked in the same way when it is chosen.  So a TP
+node gives only terms of its input's datatype, and a layer rebuilds
+through the view of its term's datatype with no further check.
 
 In a state context `apply` returns a computation that runs nothing until
 it is given a state.  Along a library morphism `msubst` is a node: the
@@ -62,7 +63,8 @@ then changes nothing: `all_tp` keeps it, `all_tu` appends nothing for it
 and `one` counts it as a failure.  On its first run a layer reads its
 strategy: the tags of the adhoc layers it can run, and its outcome on a
 term whose datatype reaches none of them at any depth.  Where that
-outcome is the empty result, a kid of such a datatype is not entered.
+outcome is the empty result, a kid of such a datatype is not entered,
+by one table per layer keyed by the kid's datatype.
 The outcome cannot be read through a `let` or a step, such as an
 `msubst` along a user-written morphism, nor where a monoid's append or
 a result's `==` raises, so any of them where the strategy would run on
@@ -87,7 +89,7 @@ from .effects import (
     supports_failure,
 )
 from .effects import _FAIL, _recover, _unchanged, _unlift
-from .terms import Term, TypeTag, _reach, rebuild, term
+from .terms import Term, TypeTag, _reach, term
 
 __all__ = [
     "TP",
@@ -141,7 +143,7 @@ def apply(s: Strategy, t: Term):
     """Apply a strategy to a term, yielding a computation in its context."""
     if not isinstance(t, Term):
         raise TypeError(f"strategies apply to terms, got {t!r}")
-    return _run(s.context, _node(s), t)
+    return _run(s.context, _node(s, TP if isinstance(s, TP) else TU), t)
 
 
 # The value of a `_Const` that stands for the term it is applied to.
@@ -149,12 +151,12 @@ _TERM = object()
 
 
 class _Node:
-    """A strategy as data, run by `_loop`; the node's fields are its parts."""
+    """A strategy as data, run by `_loop`: its context, its kind and its parts."""
 
-    __slots__ = ("ctx",)
+    __slots__ = ("ctx", "tp")  # tp: True for a TP, False for a TU
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self, ctx, tp):
+        self.ctx, self.tp = ctx, tp
 
     def __call__(self, t):
         return _run(self.ctx, self, t)
@@ -163,26 +165,25 @@ class _Node:
 class _Const(_Node):
     __slots__ = ("value",)  # _TERM for identity_tp, _FAIL for fail_tp/fail_tu
 
-    def __init__(self, ctx, value):
-        self.ctx, self.value = ctx, value
+    def __init__(self, ctx, tp, value):
+        self.ctx, self.tp, self.value = ctx, tp, value
 
 
 class _Adhoc(_Node):
-    # `steps` maps each tag of a chain of adhoc layers to its step; `tp`:
-    # wrap the step's value as a term; `read`: the context's `_read`.
-    __slots__ = ("default", "steps", "tp", "read")
+    # `steps` maps each tag of a chain of adhoc layers to its step, whose
+    # value a TP wraps as a term; `read`: the context's `_read`.
+    __slots__ = ("default", "steps", "read")
 
-    def __init__(self, ctx, default, steps, tp):
-        self.ctx, self.default, self.steps, self.tp = ctx, default, steps, tp
+    def __init__(self, ctx, default, steps):
+        self.ctx, self.tp, self.default, self.steps = ctx, default.tp, default, steps
         self.read = ctx._read
 
 
 class _Step(_Node):
-    __slots__ = ("fn", "tp", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn); tp: a TP's
+    __slots__ = ("fn", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn)
 
-    def __init__(self, ctx, fn, tp):
-        self.ctx, self.fn, self.read = ctx, fn, ctx._read
-        self.tp = tp
+    def __init__(self, ctx, tp, fn):
+        self.ctx, self.tp, self.fn, self.read = ctx, tp, fn, ctx._read
 
 
 class _Seq(_Node):
@@ -191,31 +192,32 @@ class _Seq(_Node):
     __slots__ = ("first", "second", "append")
 
     def __init__(self, ctx, first, second, append):
-        self.ctx, self.first, self.second, self.append = ctx, first, second, append
+        self.ctx, self.tp, self.first, self.second = ctx, second.tp, first, second
+        self.append = append
 
 
 class _Let(_Node):
     __slots__ = ("analysis", "body")
 
-    def __init__(self, ctx, analysis, body):
-        self.ctx, self.analysis, self.body = ctx, analysis, body
+    def __init__(self, ctx, tp, analysis, body):
+        self.ctx, self.tp, self.analysis, self.body = ctx, tp, analysis, body
 
 
 class _Choice(_Node):
     __slots__ = ("first", "second")
 
     def __init__(self, ctx, first, second):
-        self.ctx, self.first, self.second = ctx, first, second
+        self.ctx, self.tp, self.first, self.second = ctx, first.tp, first, second
 
 
 class _Layer(_Node):
-    # One-layer traversal.  `empty` is what the layer gives on a term without
-    # kids: _TERM for all_tp, the monoid's neutral for all_tu, _FAIL for one;
-    # `tp`: rebuild around the new kids; `append`: the monoid's, for all_tu.
-    __slots__ = ("s", "empty", "tp", "append", "skips")
+    # One-layer traversal, of the kind of `s`.  `empty` is what it gives on a
+    # term without kids: _TERM for all_tp, the monoid's neutral for all_tu,
+    # _FAIL for one; `append`: the monoid's, for all_tu.
+    __slots__ = ("s", "empty", "append", "skips")
 
-    def __init__(self, ctx, s, empty, tp, append):
-        self.ctx, self.s, self.empty, self.tp, self.append = ctx, s, empty, tp, append
+    def __init__(self, ctx, s, empty, append):
+        self.ctx, self.tp, self.s, self.empty, self.append = ctx, s.tp, s, empty, append
         self.skips = _Skips(self)
 
 
@@ -223,7 +225,7 @@ class _Unlift(_Node):
     __slots__ = ("s", "initial")  # `s` moved along unlift_state(_, initial)
 
     def __init__(self, ctx, s, initial):
-        self.ctx, self.s, self.initial = ctx, s, initial
+        self.ctx, self.tp, self.s, self.initial = ctx, s.tp, s, initial
 
 
 class _Ref(_Node):
@@ -241,13 +243,12 @@ def _loop(node, t, regs):
     pending a value: (_Seq, node, t) and (_APPEND, append, first result);
     (_Let, node, t); (_Unlift,), which drops the first state; (_Choice,
     second, t, regs), which takes over on failure; and [_Layer, node, t,
-    kids, i, acc, skip] for kid `i`, which moves on to the next kid when
-    kid `i` fails under `one` and when it succeeds under `all`.  `acc` is
-    what the layer carries from kid to kid: the register to restore
-    (`one`), the new kids, starting as the kids (`all_tp`), or the
-    running fold (`all_tu`).  `skip` is the node's `skips` at the
-    datatype of `t`, read on entry to a term with kids: None, or whether
-    to pass over a kid, by its tag (see `_Skips`).
+    kids, i, acc] for kid `i`, which moves on to the next kid `skips` does
+    not pass over when kid `i` fails under `one` and when it succeeds under
+    `all`.  `acc` is what the layer carries from kid to kid: the register
+    to restore (`one`), the new kids (`all_tp`) or the running fold
+    (`all_tu`).  Each value is checked where it enters, so a TP layer's
+    new kids fit its term, which it rebuilds through its datatype's view.
     """
     stack = []
     push, pop = stack.append, stack.pop
@@ -272,9 +273,8 @@ def _loop(node, t, regs):
                 v = t if node.value is _TERM else node.value
                 break
             elif kind is _Layer:
-                kids, i = t.tag.children(t), 0
-                skip = node.skips[t.tag] if kids else None
-                while skip is not None and i < len(kids) and skip[kids[i].tag]:
+                kids, i, skips = t.tag.children(t), 0, node.skips
+                while i < len(kids) and skips[kids[i].tag]:
                     i += 1
                 if i == len(kids):
                     v = t if node.empty is _TERM else node.empty
@@ -283,7 +283,7 @@ def _loop(node, t, regs):
                     acc = regs
                 else:
                     acc = list(kids) if node.tp else node.empty
-                push([_Layer, node, t, kids, i, acc, skip])
+                push([_Layer, node, t, kids, i, acc])
                 node, t = node.s, kids[i]
             elif kind is _Choice:
                 push((_Choice, node.second, t, regs))
@@ -304,12 +304,12 @@ def _loop(node, t, regs):
             frame = pop()
             kind = frame[0]
             if kind is _Layer:
-                _, node, t, kids, i, acc, skip = frame
+                _, node, t, kids, i, acc = frame
                 one = node.empty is _FAIL
                 if (v is _FAIL) is not one:
                     # A failed kid fails `all`; a kid that works ends `one`.
                     if v is not _FAIL and node.tp:
-                        v = rebuild(t, kids[:i] + (v,) + kids[i + 1 :])
+                        v = t.tag.rebuild(t, kids[:i] + (v,) + kids[i + 1 :])
                     continue
                 if one:
                     regs = acc
@@ -317,10 +317,9 @@ def _loop(node, t, regs):
                     acc[i] = v
                 else:
                     acc = frame[5] = node.append(acc, v)
-                i += 1
-                if skip is not None:
-                    while i < len(kids) and skip[kids[i].tag]:
-                        i += 1
+                i, skips = i + 1, node.skips
+                while i < len(kids) and skips[kids[i].tag]:
+                    i += 1
                 if i < len(kids):
                     frame[4] = i
                     push(frame)
@@ -329,7 +328,7 @@ def _loop(node, t, regs):
                 if not one:
                     v = acc
                     if node.tp:
-                        v = rebuild(t, v) if any(map(is_not, v, kids)) else t
+                        v = t.tag.rebuild(t, v) if any(map(is_not, v, kids)) else t
             elif v is _FAIL:
                 if kind is _Choice:
                     _, node, t, regs = frame
@@ -345,10 +344,10 @@ def _loop(node, t, regs):
             elif kind is _APPEND:
                 v = frame[1](frame[2], v)
             elif kind is _Let:
-                body, t = frame[1].body(v), frame[2]
-                if body.context is not frame[1].ctx:  # usually the very same object
-                    _same_context(frame[1].ctx, body.context)
-                node = _node(body)
+                _, let, t = frame
+                node = _node(let.body(v), TP if let.tp else TU)
+                if node.ctx is not let.ctx:  # usually the very same object
+                    _same_context(let.ctx, node.ctx)
                 break
             elif kind is _Unlift:
                 regs = regs[1:]
@@ -461,16 +460,14 @@ def _outcome(node, tags):
 
 
 class _Skips(dict):
-    """The kids a layer skips, by the datatype of the parent term.
+    """Whether a layer skips a kid, by the kid's datatype.
 
-    Maps a tag to None when no kid of that datatype can be skipped, else
-    to a dict from each of its field datatypes to whether a kid of that
-    datatype is skipped: it is when it reaches none of `tags`.  Filled on
-    demand; a field datatype whose reach is not known yet is not skipped,
-    and the answer is not kept.  The first miss reads the strategy of
-    `layer` with `_outcome`: `tags` are the tags of the adhoc layers it can
-    run, or None, which skips no kid, where its outcome is not the layer's
-    empty result or is past the read's budget.
+    A kid is skipped when its datatype reaches none of `tags`.  Filled on
+    demand; a datatype whose reach is not known yet, as one declared but
+    not defined, is entered, and the answer is not kept.  The first miss
+    reads the strategy of `layer` with `_outcome`: `tags` are the tags of
+    the adhoc layers it can run, or None, which skips no kid, where its
+    outcome is not the layer's empty result or is past the read's budget.
     """
 
     __slots__ = ("layer", "tags")
@@ -484,24 +481,25 @@ class _Skips(dict):
             layer, self.layer, tags = self.layer, None, set()
             if _same(_outcome(layer.s, tags), layer.empty):
                 self.tags = frozenset(tags)
-        skip, known = {}, True
-        for field in (tag.field_types if self.tags is not None else ()):
-            reach = _reach(field)
-            known = known and reach is not None
-            skip[field] = reach is not None and reach.isdisjoint(self.tags)
-        if not any(skip.values()):
-            skip = None
-        if known:
-            self[tag] = skip
+        reach = _reach(tag) if self.tags is not None else ()
+        if reach is None:
+            return False  # not known yet: enter, and keep no answer
+        self[tag] = skip = self.tags is not None and reach.isdisjoint(self.tags)
         return skip
 
 
-def _node(s: Strategy):
-    # The node of `s`, a step around a function; one of another context is
-    # refused, as seq and choice refuse mixed contexts.
+def _node(s: Strategy, kind: type) -> _Node:
+    # The node of `s`, a strategy of `kind`, or a step around its function.
+    # One of the other kind, or around a node of the other kind or of
+    # another context, is refused.
+    if not isinstance(s, kind):
+        raise TypeError(f"expected a {kind.__name__} strategy, got {type(s).__name__}")
     node = s.run
     if not isinstance(node, _Node):
-        return _Step(s.context, node, isinstance(s, TP))
+        return _Step(s.context, kind is TP, node)
+    if node.tp is not (kind is TP):
+        inner = "TP" if node.tp else "TU"
+        raise TypeError(f"expected a {kind.__name__} strategy, got the node of a {inner}")
     if node.ctx is not s.context:
         _same_context(s.context, node.ctx)
     return node
@@ -510,11 +508,11 @@ def _node(s: Strategy):
 def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
     # Tie the knot for a scheme: hand `define` a self-reference, of the kind
     # and context of `s`, before the body it refers to exists.
-    ref = _Ref(s.context)
+    ref = _Ref(s.context, isinstance(s, TP))
     rec = type(s)(s.context, ref)
     body = define(rec)
     _same_context(s.context, body.context)
-    ref.body = _node(body)
+    ref.body = _node(body, type(s))
     return rec
 
 
@@ -532,31 +530,31 @@ def _partial_context(ctx: EffectContext) -> EffectContext:
 
 def identity_tp(ctx: EffectContext) -> TP:
     """Succeed on every term, returning it unchanged."""
-    return TP(ctx, _Const(ctx, _TERM))
+    return TP(ctx, _Const(ctx, True, _TERM))
 
 
 def build_tu(ctx: EffectContext, value) -> TU:
     """Succeed on every term with a constant result."""
-    return TU(ctx, _Const(ctx, value))
+    return TU(ctx, _Const(ctx, False, value))
 
 
 def fail_tp(ctx: EffectContext) -> TP:
     """Fail on every term."""
-    return TP(ctx, _Const(_partial_context(ctx), _FAIL))
+    return TP(ctx, _Const(_partial_context(ctx), True, _FAIL))
 
 
 def fail_tu(ctx: EffectContext) -> TU:
     """Fail on every term."""
-    return TU(ctx, _Const(_partial_context(ctx), _FAIL))
+    return TU(ctx, _Const(_partial_context(ctx), False, _FAIL))
 
 
-def _adhoc(default, tag, step, tp):
-    # One node for a chain of adhoc layers: a layer over another of the same
-    # kind joins its dict, where the outer layer's step for a tag wins.
-    ctx, inner = default.context, _node(default)
-    if type(inner) is _Adhoc and inner.tp is tp:
-        return _Adhoc(ctx, inner.default, {**inner.steps, tag: step}, tp)
-    return _Adhoc(ctx, inner, {tag: step}, tp)
+def _adhoc(kind, default, tag, step):
+    # One node for a chain of adhoc layers: a layer over another joins its
+    # dict, where the outer layer's step for a tag wins.
+    inner, ctx = _node(default, kind), default.context
+    if type(inner) is _Adhoc:
+        return kind(ctx, _Adhoc(ctx, inner.default, {**inner.steps, tag: step}))
+    return kind(ctx, _Adhoc(ctx, inner, {tag: step}))
 
 
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
@@ -567,7 +565,7 @@ def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
     anything else the default strategy runs.  Nesting adhoc layers is
     fine: the most recently added customization is consulted first.
     """
-    return TP(default.context, _adhoc(default, tag, step, True))
+    return _adhoc(TP, default, tag, step)
 
 
 def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
@@ -576,47 +574,47 @@ def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
     `step` receives the bare value and returns a computation of the
     result type.
     """
-    return TU(default.context, _adhoc(default, tag, step, False))
+    return _adhoc(TU, default, tag, step)
 
 
 def seq_tp(first: TP, second: TP) -> TP:
     """Feed the output term of one transformation into another."""
     ctx = _same_context(first.context, second.context)
-    return TP(ctx, _Seq(ctx, _node(first), _node(second), None))
+    return TP(ctx, _Seq(ctx, _node(first, TP), _node(second, TP), None))
 
 
 def seq_tu(first: TP, second: TU) -> TU:
     """Transform, then analyse the transformed term."""
     ctx = _same_context(first.context, second.context)
-    return TU(ctx, _Seq(ctx, _node(first), _node(second), None))
+    return TU(ctx, _Seq(ctx, _node(first, TP), _node(second, TU), None))
 
 
 def _both(first: TU, second: TU, append: Callable) -> TU:
     # Run both analyses on the same term, then `append` their results.
     ctx = _same_context(first.context, second.context)
-    return TU(ctx, _Seq(ctx, _node(first), _node(second), append))
+    return TU(ctx, _Seq(ctx, _node(first, TU), _node(second, TU), append))
 
 
 def let_tp(analysis: TU, body: Callable[[Any], TP]) -> TP:
     """Run an analysis, then a transformation chosen from its result."""
-    return TP(analysis.context, _Let(analysis.context, _node(analysis), body))
+    return TP(analysis.context, _Let(analysis.context, True, _node(analysis, TU), body))
 
 
 def let_tu(analysis: TU, body: Callable[[Any], TU]) -> TU:
     """Run an analysis, then an analysis chosen from its result."""
-    return TU(analysis.context, _Let(analysis.context, _node(analysis), body))
+    return TU(analysis.context, _Let(analysis.context, False, _node(analysis, TU), body))
 
 
 def choice_tp(first: TP, second: TP) -> TP:
     """Committed choice: try one transformation, else the other."""
     ctx = _partial_context(_same_context(first.context, second.context))
-    return TP(ctx, _Choice(ctx, _node(first), _node(second)))
+    return TP(ctx, _Choice(ctx, _node(first, TP), _node(second, TP)))
 
 
 def choice_tu(first: TU, second: TU) -> TU:
     """Committed choice between analyses."""
     ctx = _partial_context(_same_context(first.context, second.context))
-    return TU(ctx, _Choice(ctx, _node(first), _node(second)))
+    return TU(ctx, _Choice(ctx, _node(first, TU), _node(second, TU)))
 
 
 def all_tp(s: TP) -> TP:
@@ -627,7 +625,7 @@ def all_tp(s: TP) -> TP:
     the input term itself is the result, so unchanged subterms are shared
     rather than copied.
     """
-    return TP(s.context, _Layer(s.context, _node(s), _TERM, True, None))
+    return TP(s.context, _Layer(s.context, _node(s, TP), _TERM, None))
 
 
 def all_tu(s: TU, monoid: Monoid) -> TU:
@@ -636,7 +634,7 @@ def all_tu(s: TU, monoid: Monoid) -> TU:
     The fold starts from the monoid's neutral element, so terms without
     children yield the neutral element.
     """
-    return TU(s.context, _Layer(s.context, _node(s), monoid.neutral, False, monoid.append))
+    return TU(s.context, _Layer(s.context, _node(s, TU), monoid.neutral, monoid.append))
 
 
 def one_tp(s: TP) -> TP:
@@ -646,30 +644,30 @@ def one_tp(s: TP) -> TP:
     success; terms without children fail.
     """
     ctx = _partial_context(s.context)
-    return TP(ctx, _Layer(ctx, _node(s), _FAIL, True, None))
+    return TP(ctx, _Layer(ctx, _node(s, TP), _FAIL, None))
 
 
 def one_tu(s: TU) -> TU:
     """Analyse the leftmost immediate subterm the strategy succeeds on."""
     ctx = _partial_context(s.context)
-    return TU(ctx, _Layer(ctx, _node(s), _FAIL, False, None))
+    return TU(ctx, _Layer(ctx, _node(s, TU), _FAIL, None))
 
 
 def _msubst(kind, morphism, s):
     if s.context != morphism.source:
         raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
-    ctx, node, run = morphism.target, _node(s), morphism.run
+    ctx, node, run = morphism.target, _node(s, kind), morphism.run
     func = getattr(run, "func", run)  # a library morphism's, bound by partial
     if func is _recover:
         default = run.args[0]
         # A TP hands the default out through a checked step, as any step's value.
-        fallback = _Step(ctx, lambda t: default, True) if kind is TP else _Const(ctx, default)
+        fallback = _Step(ctx, True, lambda t: default) if kind is TP else _Const(ctx, False, default)
         return kind(ctx, _Choice(ctx, node, fallback))
     if func is _unlift:
         return kind(ctx, _Unlift(ctx, node, run.args[1]))
     if func is _unchanged:
         return kind(ctx, node)
-    return kind(ctx, _Step(ctx, lambda t: run(_run(morphism.source, node, t)), kind is TP))
+    return kind(ctx, _Step(ctx, kind is TP, lambda t: run(_run(morphism.source, node, t))))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:

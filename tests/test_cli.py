@@ -321,6 +321,35 @@ def test_a_reader_that_closes_the_pipe_gets_exit_two_and_no_traceback(tmp_path, 
         assert err == "<stdout>: write failed: Broken pipe\n", command
 
 
+class _Trickle(io.RawIOBase):
+    """A raw file that takes at most 10 bytes per write, as a full pipe may."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += bytes(b[:10])
+        return min(len(b), 10)
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_unbuffered_output_survives_short_writes(tmp_path, capsys, monkeypatch, fmt):
+    # Under `python -u` stdout is a text layer writing through to a raw
+    # file, which may take only part of each write.
+    path = tmp_path / "module.ml0"
+    path.write_text("module M where\n" + "".join(f"f{i} x = g x \"s{i}\"\n" for i in range(50)))
+    argv = ["debruijn", "--format", fmt, str(path)]
+    _, expected, _ = run(capsys, *argv)
+    raw = _Trickle()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="ascii", write_through=True))
+    assert main(argv) == 0
+    assert raw.data.decode("ascii") == expected
+    assert not raw.closed
+
+
 # Memory.
 
 

@@ -65,7 +65,7 @@ from strategem.terms import (
     register_descriptors,
     term,
 )
-from strategem.themes import local_state, topdown
+from strategem.themes import crush, local_state, topdown
 from test_themes import _TARGETS, _bump, _count, _layers, _outcome, _partly, _terms
 
 
@@ -273,6 +273,71 @@ def test_a_node_of_another_context_is_refused():
     # An equal context is the same context.
     same = TP(StateOver(IDENTITY), identity_tp(STATE).run)
     assert run_state(apply(topdown(same), term(1)), 0) == (term(1), 0)
+
+
+# (combinator given one strategy, the kind it needs there), for every
+# argument of every combinator, and for schemes built from them.
+_NEEDS = [
+    (lambda s: seq_tp(s, identity_tp(PARTIAL)), TP),
+    (lambda s: seq_tp(identity_tp(PARTIAL), s), TP),
+    (lambda s: seq_tu(s, build_tu(PARTIAL, 0)), TP),
+    (lambda s: seq_tu(identity_tp(PARTIAL), s), TU),
+    (lambda s: choice_tp(s, fail_tp(PARTIAL)), TP),
+    (lambda s: choice_tp(fail_tp(PARTIAL), s), TP),
+    (lambda s: choice_tu(s, fail_tu(PARTIAL)), TU),
+    (lambda s: choice_tu(fail_tu(PARTIAL), s), TU),
+    (all_tp, TP),
+    (lambda s: all_tu(s, INT_SUM), TU),
+    (one_tp, TP),
+    (one_tu, TU),
+    (lambda s: adhoc_tp(s, INT, PARTIAL.pure), TP),
+    (lambda s: adhoc_tu(s, INT, PARTIAL.pure), TU),
+    (lambda s: let_tp(s, lambda _n: identity_tp(PARTIAL)), TU),
+    (lambda s: let_tu(s, lambda _n: build_tu(PARTIAL, 0)), TU),
+    (lambda s: msubst_tp(identity_morphism(PARTIAL), s), TP),
+    (lambda s: msubst_tu(identity_morphism(PARTIAL), s), TU),
+    (topdown, TP),
+    (lambda s: crush(s, INT_SUM), TU),
+]
+
+
+@pytest.mark.parametrize("build, kind", _NEEDS)
+def test_a_strategy_of_the_wrong_kind_is_refused_at_construction(build, kind):
+    tp, tu = identity_tp(PARTIAL), build_tu(PARTIAL, 0)
+    right, wrong = (tp, tu) if kind is TP else (tu, tp)
+    build(right)
+    other = "TU" if kind is TP else "TP"
+    with pytest.raises(TypeError, match=f"expected a {kind.__name__} strategy, got {other}"):
+        build(wrong)
+    # A step of the other kind is refused too.
+    with pytest.raises(TypeError, match=f"expected a {kind.__name__} strategy, got {other}"):
+        build(type(wrong)(PARTIAL, PARTIAL.pure))
+
+
+def test_a_node_of_another_kind_is_refused():
+    # A strategy whose `run` is taken from a strategy of the other kind.
+    foreign = TP(IDENTITY, build_tu(IDENTITY, 5).run)
+    with pytest.raises(TypeError, match="expected a TP strategy, got the node of a TU"):
+        apply(foreign, term(1))
+    with pytest.raises(TypeError, match="expected a TU strategy, got the node of a TP"):
+        apply(TU(IDENTITY, identity_tp(IDENTITY).run), term(1))
+    for build, kind in _NEEDS:
+        if kind is TP:
+            wrapped, inner = TP(PARTIAL, build_tu(PARTIAL, 0).run), "TU"
+        else:
+            wrapped, inner = TU(PARTIAL, identity_tp(PARTIAL).run), "TP"
+        with pytest.raises(TypeError, match=f"got the node of a {inner}"):
+            build(wrapped)
+
+
+def test_a_let_body_of_the_wrong_kind_is_refused_when_chosen():
+    grab = adhoc_tu(build_tu(IDENTITY, 0), INT, IDENTITY.pure)
+    with pytest.raises(TypeError, match="expected a TP strategy, got TU"):
+        apply(let_tp(grab, lambda n: build_tu(IDENTITY, n)), term(1))
+    with pytest.raises(TypeError, match="expected a TU strategy, got TP"):
+        apply(let_tu(grab, lambda _n: identity_tp(IDENTITY)), term(1))
+    with pytest.raises(TypeError, match="expected a TP strategy, got the node of a TU"):
+        apply(let_tp(grab, lambda n: TP(IDENTITY, build_tu(IDENTITY, n).run)), term(1))
 
 
 def test_all_tp_rewrites_each_child_once():

@@ -76,6 +76,7 @@ from strategem.terms import (
     INT,
     STR,
     Registry,
+    Term,
     UnregisteredType,
     children,
     list_of,
@@ -83,6 +84,7 @@ from strategem.terms import (
     pair_of,
     register_descriptors,
     term,
+    validate_term,
 )
 from test_analyses import Opaque
 from strategem.themes import (
@@ -540,6 +542,22 @@ def test_an_undefined_datatype_prunes_nothing_until_defined():
     assert apply(count, t) == 1
 
 
+def test_an_undefined_datatype_is_skipped_once_defined():
+    # While Wrap is undefined the layer enters a Wrap kid and keeps no
+    # answer for it; once Wrap is defined to hold no Leaf, the same layer
+    # skips the kid, so it never meets the unregistered value inside.
+    reg = Registry()
+    box, wrap, leaf = (reg.declare(name) for name in ("Box", "Wrap", "Leaf"))
+    reg.define(box, [(Box, (wrap,))])
+    reg.define(leaf, [(Leaf, (INT,))])
+    count = crush(adhoc_tu(build_tu(IDENTITY, 0), leaf, lambda _v: IDENTITY.pure(1)), INT_SUM)
+    t = reg.term(Box(Opaque()))
+    with pytest.raises(UnregisteredType):
+        apply(count, t)
+    reg.define(wrap, [(Wrap, (INT,))])
+    assert apply(count, t) == 0
+
+
 def test_a_guess_that_holds_only_at_leaves_prunes_nothing():
     # rec = -1 + the product of rec over the kids: 0 at a leaf, -1 at a
     # node whose kids are leaves; a sum of rec over the kids enters each.
@@ -817,3 +835,27 @@ def test_library_morphisms_agree_with_unknown_ones(t, tags):
             msubst = msubst_tp if isinstance(s, TP) else msubst_tu
             known, unknown = (_outcome(scheme(msubst(m2, s)), t) for m2 in (m, _unknown(m)))
             assert known == unknown, (name, m.source, m.target)
+
+
+# A layer rebuilds a term around its new kids without checking them, which
+# is sound only if every TP result is a valid term of its input's datatype.
+
+
+@settings(deadline=None)
+@given(t=_terms, tags=st.lists(st.sampled_from(_TARGETS), min_size=1, max_size=2, unique=True))
+def test_a_transformation_gives_a_valid_term_of_its_input_datatype(t, tags):
+    for name, ctx in _CASES:
+        _, default, step, scheme = _SCHEMES[name]
+        for opaque in (False, True):
+            s = scheme(_layers(default(ctx, opaque), tags, step))
+            if not isinstance(s, TP):
+                continue
+            got = _outcome(s, t)
+            if got is NOTHING:
+                continue
+            if supports_failure(ctx):
+                got = got.value
+            if supports_state(ctx):
+                got = got[0]
+            assert isinstance(got, Term) and got.tag is t.tag, (name, ctx)
+            validate_term(got)
