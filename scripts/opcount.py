@@ -14,7 +14,9 @@ each layer makes on its first run.  `pretty` renders the module's
 syntax value to text.  The last, `to_alias`, runs on the module with one
 more declaration, which holds a type focus equal to a synonym's
 right-hand side, so it rebuilds each term on the path to the focus
-through `one_tp`.  Work done in C (set and dict operations, builtins) is
+through `one_tp`.  `build` applies nothing: it calls each of the 29
+functions that make a strategy from strategies once, on fixed small
+strategies, so it counts construction alone.  Work done in C (set and dict operations, builtins) is
 not counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
@@ -28,18 +30,45 @@ from strategem import (
     BOOL,
     IDENTITY,
     INT,
+    INT_SUM,
     PARTIAL,
     PARTIAL_STATE,
     adhoc_tp,
+    adhoc_tu,
+    all_tp,
+    all_tu,
     apply,
+    bottomup,
+    build_tu,
+    choice_tp,
+    choice_tu,
+    crush,
     fail_tp,
+    free_names,
+    identity_morphism,
     identity_tp,
+    innermost,
+    let_tp,
+    let_tu,
     list_of,
     local_state,
+    msubst_tp,
+    msubst_tu,
+    once_bu,
     once_td,
+    one_tp,
+    one_tu,
     pair_of,
+    repeat_,
+    select,
+    selectenv,
+    seq_tp,
+    seq_tu,
+    stop_td,
+    stop_td_tu,
     term,
     topdown,
+    traverse_meta,
     try_,
 )
 from strategem.analyses import (
@@ -99,6 +128,43 @@ def read_mixed(t):
     return apply(topdown(try_(once_td(bump))), t)
 
 
+def build(parts) -> list:
+    """Each function that makes a strategy from strategies, called once."""
+    tp, tu, stateful = parts
+    morphism = identity_morphism(PARTIAL)
+    return [
+        seq_tp(tp, tp),
+        seq_tu(tp, tu),
+        let_tp(tu, lambda _n: tp),
+        let_tu(tu, lambda _n: tu),
+        choice_tp(tp, tp),
+        choice_tu(tu, tu),
+        all_tp(tp),
+        all_tu(tu, INT_SUM),
+        one_tp(tp),
+        one_tu(tu),
+        adhoc_tp(tp, INT, PARTIAL.pure),
+        adhoc_tu(tu, INT, PARTIAL.pure),
+        msubst_tp(morphism, tp),
+        msubst_tu(morphism, tu),
+        topdown(tp),
+        bottomup(tp),
+        once_td(tp),
+        once_bu(tp),
+        stop_td(tp),
+        stop_td_tu(tu, INT_SUM),
+        try_(tp),
+        repeat_(tp),
+        innermost(tp),
+        crush(tu, INT_SUM),
+        select(tu),
+        selectenv(0, lambda env, _t: env, lambda _env: tu),
+        free_names(tu, tu),
+        traverse_meta(seq_tp, all_tp, tp),
+        local_state(0, stateful),
+    ]
+
+
 def opcodes(fn, *args) -> int:
     """The opcodes executed by `fn(*args)`, in Python frames it enters."""
     count = 0
@@ -146,6 +212,7 @@ def main() -> None:
         ("read_mixed", read_mixed, one_pair),
         ("pretty", pretty, module),
         ("to_alias", lambda m: to_alias("S1", m), focused),
+        ("build", build, (identity_tp(PARTIAL), build_tu(PARTIAL, 0), identity_tp(PARTIAL_STATE))),
     ]
     print(f"python {sys.version.split()[0]}")
     for name, fn, arg in ops:

@@ -5,92 +5,14 @@ in, `terms` the universal term representation, `strategies` the two
 strategy kinds and their basic combinators, `themes` the reusable
 traversal schemes, `minilang` a small functional language registered for
 traversal, `analyses` worked operations over it and `cli` the strategem
-command.
+command.  The package namespace holds what the first four list in
+`__all__`; the last three are imported as modules of their own.
 """
 
-from .effects import (
-    IDENTITY,
-    INT_SUM,
-    LIST_CONCAT,
-    NOTHING,
-    PARTIAL,
-    PARTIAL_STATE,
-    SET_UNION,
-    STATE,
-    EffectMorphism,
-    Identity,
-    Just,
-    Monoid,
-    Partial,
-    StateOver,
-    identity_morphism,
-    is_just,
-    partial_to_identity,
-    run_state,
-    supports_failure,
-    supports_state,
-    unlift_state,
-)
-from .strategies import (
-    TP,
-    TU,
-    OverloadedOps,
-    adhoc_tp,
-    adhoc_tu,
-    all_tp,
-    all_tu,
-    apply,
-    build_tu,
-    choice_tp,
-    choice_tu,
-    fail_tp,
-    fail_tu,
-    identity_tp,
-    let_tp,
-    let_tu,
-    msubst_tp,
-    msubst_tu,
-    one_tp,
-    one_tu,
-    seq_tp,
-    seq_tu,
-    tp_ops,
-    tu_ops,
-)
-from .terms import (
-    BOOL,
-    INT,
-    STR,
-    ConstructorTag,
-    Registry,
-    Term,
-    TypeTag,
-    cast,
-    children,
-    constructor,
-    list_of,
-    optional_of,
-    pair_of,
-    rebuild,
-    same_term,
-    term,
-    type_of,
-    validate_term,
-)
-from .themes import (
-    bottomup,
-    crush,
-    free_names,
-    innermost,
-    local_state,
-    once_bu,
-    once_td,
-    repeat_,
-    select,
-    selectenv,
-    stop_td,
-    stop_td_tu,
-    topdown,
-    traverse_meta,
-    try_,
-)
+from . import effects, strategies, terms, themes
+from .effects import *
+from .strategies import *
+from .terms import *
+from .themes import *
+
+__all__ = effects.__all__ + strategies.__all__ + terms.__all__ + themes.__all__

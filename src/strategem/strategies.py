@@ -9,8 +9,9 @@ A strategy is a first-class generic function on terms.  Two kinds exist:
 
 Both kinds carry the effect context their computations live in.  Apply a
 strategy with `apply`; everything else builds strategies from strategies.
-Both check the kind (`TypeError`) and context (`ValueError`) of each
-strategy they are given, and of the node it wraps.  The basic vocabulary:
+All of them refuse anything but a strategy of the kind they need
+(`TypeError`) and strategies of mixed contexts (`ValueError`), down to
+the node a strategy wraps.  The basic vocabulary:
 
   identity_tp, build_tu     generic success
   fail_tp, fail_tu          generic failure (needs a partial context)
@@ -143,7 +144,7 @@ def apply(s: Strategy, t: Term):
     """Apply a strategy to a term, yielding a computation in its context."""
     if not isinstance(t, Term):
         raise TypeError(f"strategies apply to terms, got {t!r}")
-    return _run(s.context, _node(s, TP if isinstance(s, TP) else TU), t)
+    return _node(s)(t)
 
 
 # The value of a `_Const` that stands for the term it is applied to.
@@ -174,9 +175,9 @@ class _Adhoc(_Node):
     # value a TP wraps as a term; `read`: the context's `_read`.
     __slots__ = ("default", "steps", "read")
 
-    def __init__(self, ctx, default, steps):
-        self.ctx, self.tp, self.default, self.steps = ctx, default.tp, default, steps
-        self.read = ctx._read
+    def __init__(self, default, steps):
+        self.ctx, self.tp, self.default, self.steps = default.ctx, default.tp, default, steps
+        self.read = default.ctx._read
 
 
 class _Step(_Node):
@@ -191,16 +192,16 @@ class _Seq(_Node):
     # otherwise a monoid's append of two analyses of the same term.
     __slots__ = ("first", "second", "append")
 
-    def __init__(self, ctx, first, second, append):
-        self.ctx, self.tp, self.first, self.second = ctx, second.tp, first, second
-        self.append = append
+    def __init__(self, first, second, append):
+        self.ctx, self.tp = _same_context(first.ctx, second.ctx), second.tp
+        self.first, self.second, self.append = first, second, append
 
 
 class _Let(_Node):
     __slots__ = ("analysis", "body")
 
-    def __init__(self, ctx, tp, analysis, body):
-        self.ctx, self.tp, self.analysis, self.body = ctx, tp, analysis, body
+    def __init__(self, tp, analysis, body):
+        self.ctx, self.tp, self.analysis, self.body = analysis.ctx, tp, analysis, body
 
 
 class _Choice(_Node):
@@ -216,8 +217,9 @@ class _Layer(_Node):
     # _FAIL for one; `append`: the monoid's, for all_tu.
     __slots__ = ("s", "empty", "append", "skips")
 
-    def __init__(self, ctx, s, empty, append):
-        self.ctx, self.tp, self.s, self.empty, self.append = ctx, s.tp, s, empty, append
+    def __init__(self, s, empty, append):
+        self.ctx = _partial_context(s.ctx) if empty is _FAIL else s.ctx
+        self.tp, self.s, self.empty, self.append = s.tp, s, empty, append
         self.skips = _Skips(self)
 
 
@@ -346,8 +348,7 @@ def _loop(node, t, regs):
             elif kind is _Let:
                 _, let, t = frame
                 node = _node(let.body(v), TP if let.tp else TU)
-                if node.ctx is not let.ctx:  # usually the very same object
-                    _same_context(let.ctx, node.ctx)
+                _same_context(let.ctx, node.ctx)
                 break
             elif kind is _Unlift:
                 regs = regs[1:]
@@ -488,36 +489,40 @@ class _Skips(dict):
         return skip
 
 
-def _node(s: Strategy, kind: type) -> _Node:
-    # The node of `s`, a strategy of `kind`, or a step around its function.
-    # One of the other kind, or around a node of the other kind or of
-    # another context, is refused.
+def _node(s: Strategy, kind=Strategy) -> _Node:
+    # The node of `s`, a strategy of `kind` (TP, TU or either), or a step
+    # around its function; the one reader of a TP or TU.  Anything else, and
+    # one around a node of the other kind or of another context, is refused.
     if not isinstance(s, kind):
-        raise TypeError(f"expected a {kind.__name__} strategy, got {type(s).__name__}")
-    node = s.run
+        want = "TP or TU" if kind is Strategy else kind.__name__
+        raise TypeError(f"expected a {want} strategy, got {type(s).__name__}")
+    tp, node = isinstance(s, TP), s.run
     if not isinstance(node, _Node):
-        return _Step(s.context, kind is TP, node)
-    if node.tp is not (kind is TP):
-        inner = "TP" if node.tp else "TU"
-        raise TypeError(f"expected a {kind.__name__} strategy, got the node of a {inner}")
-    if node.ctx is not s.context:
-        _same_context(s.context, node.ctx)
+        return _Step(s.context, tp, node)
+    if node.tp is not tp:
+        outer, inner = ("TP", "TU") if tp else ("TU", "TP")
+        raise TypeError(f"expected a {outer} strategy, got the node of a {inner}")
+    _same_context(s.context, node.ctx)
     return node
+
+
+def _wrap(node: _Node) -> Strategy:
+    return (TP if node.tp else TU)(node.ctx, node)
 
 
 def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
     # Tie the knot for a scheme: hand `define` a self-reference, of the kind
     # and context of `s`, before the body it refers to exists.
-    ref = _Ref(s.context, isinstance(s, TP))
-    rec = type(s)(s.context, ref)
-    body = define(rec)
-    _same_context(s.context, body.context)
-    ref.body = _node(body, type(s))
+    node = _node(s)
+    ref = _Ref(node.ctx, node.tp)
+    rec = _wrap(ref)
+    ref.body = body = _node(define(rec), type(rec))
+    _same_context(ref.ctx, body.ctx)
     return rec
 
 
 def _same_context(ctx: EffectContext, other: EffectContext) -> EffectContext:
-    if other != ctx:
+    if other is not ctx and other != ctx:  # usually the very same object
         raise ValueError(f"mixed effect contexts: {ctx!r} and {other!r}")
     return ctx
 
@@ -551,10 +556,10 @@ def fail_tu(ctx: EffectContext) -> TU:
 def _adhoc(kind, default, tag, step):
     # One node for a chain of adhoc layers: a layer over another joins its
     # dict, where the outer layer's step for a tag wins.
-    inner, ctx = _node(default, kind), default.context
+    inner = _node(default, kind)
     if type(inner) is _Adhoc:
-        return kind(ctx, _Adhoc(ctx, inner.default, {**inner.steps, tag: step}))
-    return kind(ctx, _Adhoc(ctx, inner, {tag: step}))
+        return _wrap(_Adhoc(inner.default, {**inner.steps, tag: step}))
+    return _wrap(_Adhoc(inner, {tag: step}))
 
 
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
@@ -579,42 +584,39 @@ def adhoc_tu(default: TU, tag: TypeTag, step: Callable) -> TU:
 
 def seq_tp(first: TP, second: TP) -> TP:
     """Feed the output term of one transformation into another."""
-    ctx = _same_context(first.context, second.context)
-    return TP(ctx, _Seq(ctx, _node(first, TP), _node(second, TP), None))
+    return _wrap(_Seq(_node(first, TP), _node(second, TP), None))
 
 
 def seq_tu(first: TP, second: TU) -> TU:
     """Transform, then analyse the transformed term."""
-    ctx = _same_context(first.context, second.context)
-    return TU(ctx, _Seq(ctx, _node(first, TP), _node(second, TU), None))
+    return _wrap(_Seq(_node(first, TP), _node(second, TU), None))
 
 
 def _both(first: TU, second: TU, append: Callable) -> TU:
     # Run both analyses on the same term, then `append` their results.
-    ctx = _same_context(first.context, second.context)
-    return TU(ctx, _Seq(ctx, _node(first, TU), _node(second, TU), append))
+    return _wrap(_Seq(_node(first, TU), _node(second, TU), append))
 
 
 def let_tp(analysis: TU, body: Callable[[Any], TP]) -> TP:
     """Run an analysis, then a transformation chosen from its result."""
-    return TP(analysis.context, _Let(analysis.context, True, _node(analysis, TU), body))
+    return _wrap(_Let(True, _node(analysis, TU), body))
 
 
 def let_tu(analysis: TU, body: Callable[[Any], TU]) -> TU:
     """Run an analysis, then an analysis chosen from its result."""
-    return TU(analysis.context, _Let(analysis.context, False, _node(analysis, TU), body))
+    return _wrap(_Let(False, _node(analysis, TU), body))
 
 
 def choice_tp(first: TP, second: TP) -> TP:
     """Committed choice: try one transformation, else the other."""
-    ctx = _partial_context(_same_context(first.context, second.context))
-    return TP(ctx, _Choice(ctx, _node(first, TP), _node(second, TP)))
+    first, second = _node(first, TP), _node(second, TP)
+    return _wrap(_Choice(_partial_context(_same_context(first.ctx, second.ctx)), first, second))
 
 
 def choice_tu(first: TU, second: TU) -> TU:
     """Committed choice between analyses."""
-    ctx = _partial_context(_same_context(first.context, second.context))
-    return TU(ctx, _Choice(ctx, _node(first, TU), _node(second, TU)))
+    first, second = _node(first, TU), _node(second, TU)
+    return _wrap(_Choice(_partial_context(_same_context(first.ctx, second.ctx)), first, second))
 
 
 def all_tp(s: TP) -> TP:
@@ -625,7 +627,7 @@ def all_tp(s: TP) -> TP:
     the input term itself is the result, so unchanged subterms are shared
     rather than copied.
     """
-    return TP(s.context, _Layer(s.context, _node(s, TP), _TERM, None))
+    return _wrap(_Layer(_node(s, TP), _TERM, None))
 
 
 def all_tu(s: TU, monoid: Monoid) -> TU:
@@ -634,7 +636,7 @@ def all_tu(s: TU, monoid: Monoid) -> TU:
     The fold starts from the monoid's neutral element, so terms without
     children yield the neutral element.
     """
-    return TU(s.context, _Layer(s.context, _node(s, TU), monoid.neutral, monoid.append))
+    return _wrap(_Layer(_node(s, TU), monoid.neutral, monoid.append))
 
 
 def one_tp(s: TP) -> TP:
@@ -643,31 +645,29 @@ def one_tp(s: TP) -> TP:
     Children are tried left to right and the search stops at the first
     success; terms without children fail.
     """
-    ctx = _partial_context(s.context)
-    return TP(ctx, _Layer(ctx, _node(s, TP), _FAIL, None))
+    return _wrap(_Layer(_node(s, TP), _FAIL, None))
 
 
 def one_tu(s: TU) -> TU:
     """Analyse the leftmost immediate subterm the strategy succeeds on."""
-    ctx = _partial_context(s.context)
-    return TU(ctx, _Layer(ctx, _node(s, TU), _FAIL, None))
+    return _wrap(_Layer(_node(s, TU), _FAIL, None))
 
 
 def _msubst(kind, morphism, s):
-    if s.context != morphism.source:
-        raise ValueError(f"strategy context {s.context!r} is not {morphism.source!r}")
     ctx, node, run = morphism.target, _node(s, kind), morphism.run
+    if node.ctx != morphism.source:
+        raise ValueError(f"strategy context {node.ctx!r} is not {morphism.source!r}")
     func = getattr(run, "func", run)  # a library morphism's, bound by partial
     if func is _recover:
         default = run.args[0]
         # A TP hands the default out through a checked step, as any step's value.
         fallback = _Step(ctx, True, lambda t: default) if kind is TP else _Const(ctx, False, default)
-        return kind(ctx, _Choice(ctx, node, fallback))
+        return _wrap(_Choice(ctx, node, fallback))
     if func is _unlift:
-        return kind(ctx, _Unlift(ctx, node, run.args[1]))
+        return _wrap(_Unlift(ctx, node, run.args[1]))
     if func is _unchanged:
         return kind(ctx, node)
-    return kind(ctx, _Step(ctx, kind is TP, lambda t: run(_run(morphism.source, node, t))))
+    return _wrap(_Step(ctx, kind is TP, lambda t: run(_run(morphism.source, node, t))))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:

@@ -37,6 +37,7 @@ from .strategies import (
     OverloadedOps,
     _both,
     _msubst,
+    _node,
     _recursive,
     all_tp,
     all_tu,
@@ -116,7 +117,7 @@ def stop_td_tu(s: TU, monoid: Monoid) -> TU:
 
 def try_(s: TP) -> TP:
     """Attempt a transformation, keeping the term on failure."""
-    return choice_tp(s, identity_tp(s.context))
+    return choice_tp(s, identity_tp(_node(s, TP).ctx))
 
 
 def repeat_(s: TP) -> TP:
@@ -153,7 +154,7 @@ def selectenv(env, update: Callable, s: Callable[[Any], TU]) -> TU:
     At each node the strategy for the current environment is tried first;
     below the node the environment becomes `update(env, node)`.
     """
-    ctx = s(env).context
+    ctx = _node(s(env), TU).ctx
     node = TU(ctx, ctx.pure)  # the analysis whose result is the term itself
 
     def at(env):
@@ -194,7 +195,7 @@ def local_state(initial, s):
     the inner context, starts every application from `initial` and
     discards the final state.
     """
-    ctx = s.context
-    if not isinstance(ctx, StateOver):
-        raise TypeError(f"local_state needs a strategy in a state context, got {ctx!r}")
-    return _msubst(type(s), unlift_state(ctx, initial), s)
+    node = _node(s)
+    if not isinstance(node.ctx, StateOver):
+        raise TypeError(f"local_state needs a strategy in a state context, got {node.ctx!r}")
+    return _msubst(TP if node.tp else TU, unlift_state(node.ctx, initial), s)

@@ -65,7 +65,23 @@ from strategem.terms import (
     register_descriptors,
     term,
 )
-from strategem.themes import crush, local_state, topdown
+from strategem.themes import (
+    bottomup,
+    crush,
+    free_names,
+    innermost,
+    local_state,
+    once_bu,
+    once_td,
+    repeat_,
+    select,
+    selectenv,
+    stop_td,
+    stop_td_tu,
+    topdown,
+    traverse_meta,
+    try_,
+)
 from test_themes import _TARGETS, _bump, _count, _layers, _outcome, _partly, _terms
 
 
@@ -312,6 +328,54 @@ def test_a_strategy_of_the_wrong_kind_is_refused_at_construction(build, kind):
     # A step of the other kind is refused too.
     with pytest.raises(TypeError, match=f"expected a {kind.__name__} strategy, got {other}"):
         build(type(wrong)(PARTIAL, PARTIAL.pure))
+
+
+# Every public function that takes a strategy, given `x` in one of its
+# strategy arguments.
+_TAKES = {
+    "apply": lambda x: apply(x, term(1)),
+    "seq_tp.first": lambda x: seq_tp(x, identity_tp(PARTIAL)),
+    "seq_tp.second": lambda x: seq_tp(identity_tp(PARTIAL), x),
+    "seq_tu.first": lambda x: seq_tu(x, build_tu(PARTIAL, 0)),
+    "seq_tu.second": lambda x: seq_tu(identity_tp(PARTIAL), x),
+    "let_tp": lambda x: let_tp(x, lambda _n: identity_tp(PARTIAL)),
+    "let_tu": lambda x: let_tu(x, lambda _n: build_tu(PARTIAL, 0)),
+    "choice_tp.first": lambda x: choice_tp(x, fail_tp(PARTIAL)),
+    "choice_tp.second": lambda x: choice_tp(fail_tp(PARTIAL), x),
+    "choice_tu.first": lambda x: choice_tu(x, fail_tu(PARTIAL)),
+    "choice_tu.second": lambda x: choice_tu(fail_tu(PARTIAL), x),
+    "all_tp": all_tp,
+    "all_tu": lambda x: all_tu(x, INT_SUM),
+    "one_tp": one_tp,
+    "one_tu": one_tu,
+    "adhoc_tp": lambda x: adhoc_tp(x, INT, PARTIAL.pure),
+    "adhoc_tu": lambda x: adhoc_tu(x, INT, PARTIAL.pure),
+    "msubst_tp": lambda x: msubst_tp(identity_morphism(PARTIAL), x),
+    "msubst_tu": lambda x: msubst_tu(identity_morphism(PARTIAL), x),
+    "topdown": topdown,
+    "bottomup": bottomup,
+    "once_td": once_td,
+    "once_bu": once_bu,
+    "stop_td": stop_td,
+    "stop_td_tu": lambda x: stop_td_tu(x, INT_SUM),
+    "try_": try_,
+    "repeat_": repeat_,
+    "innermost": innermost,
+    "crush": lambda x: crush(x, INT_SUM),
+    "select": select,
+    "selectenv": lambda x: selectenv(0, lambda env, _t: env, lambda _env: x),
+    "free_names.refs": lambda x: free_names(x, build_tu(IDENTITY, frozenset())),
+    "free_names.decs": lambda x: free_names(build_tu(IDENTITY, frozenset()), x),
+    "traverse_meta": lambda x: traverse_meta(seq_tp, all_tp, x),
+    "local_state": lambda x: local_state(0, x),
+}
+
+
+@pytest.mark.parametrize("build", _TAKES.values(), ids=_TAKES.keys())
+def test_anything_but_a_strategy_is_refused(build):
+    for thing in (lambda t: t, 5):
+        with pytest.raises(TypeError, match=f"strategy, got {type(thing).__name__}$"):
+            build(thing)
 
 
 def test_a_node_of_another_kind_is_refused():
