@@ -8,15 +8,18 @@ module of 60 declarations and a 300-element list of pairs), runs each
 operation once to fill the caches, then counts the opcodes it executes
 under `sys.settrace`.  The first seven operations run in IDENTITY; the
 next four read the computations of PARTIAL, STATE and PARTIAL_STATE
-steps.  The next two build their strategy inside the operation and run
-it on a one-element list, so they count the read behind pruning that
-each layer makes on its first run.  `pretty` renders the module's
-syntax value to text.  The last, `to_alias`, runs on the module with one
-more declaration, which holds a type focus equal to a synonym's
-right-hand side, so it rebuilds each term on the path to the focus
-through `one_tp`.  `build` applies nothing: it calls each of the 29
-functions that make a strategy from strategies once, on fixed small
-strategies, so it counts construction alone.  Work done in C (set and dict operations, builtins) is
+steps.  The next three build their strategy inside the operation and run
+it on a one-element list or a pair, so they count the read behind
+pruning: each node of a strategy is read where it is built, and each
+layer settles its strategy's reading on its first run.  `read_shared`
+places one strategy at two places on each of eight levels.  `pretty`
+renders the module's syntax value to text.  The last, `to_alias`, runs
+on the module with one more declaration, which holds a type focus equal
+to a synonym's right-hand side, so it rebuilds each term on the path to
+the focus through `one_tp`.  `build` applies nothing: it calls each of
+the 29 functions that make a strategy from strategies once, on fixed
+small strategies, so it counts construction alone, the reading of each
+new node included.  Work done in C (set and dict operations, builtins) is
 not counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
@@ -128,6 +131,14 @@ def read_mixed(t):
     return apply(topdown(try_(once_td(bump))), t)
 
 
+def read_shared(t):
+    """`topdown(seq_tp(s, s))` nested 8 deep over an INT increment, built and applied."""
+    s = adhoc_tp(identity_tp(IDENTITY), INT, lambda n: n + 1)
+    for _ in range(8):
+        s = topdown(seq_tp(s, s))
+    return apply(s, t)
+
+
 def build(parts) -> list:
     """Each function that makes a strategy from strategies, called once."""
     tp, tu, stateful = parts
@@ -210,6 +221,7 @@ def main() -> None:
         ("encode", encode_all, decls),
         ("read_nested", read_nested, one_pair),
         ("read_mixed", read_mixed, one_pair),
+        ("read_shared", read_shared, term((True, 1), pair_of(BOOL, INT))),
         ("pretty", pretty, module),
         ("to_alias", lambda m: to_alias("S1", m), focused),
         ("build", build, (identity_tp(PARTIAL), build_tu(PARTIAL, 0), identity_tp(PARTIAL_STATE))),

@@ -61,17 +61,20 @@ step, so a chain dispatches with one lookup.  A traversal skips the
 subterms no adhoc layer can reach, by one rule: a layer skips a kid where
 its strategy is known to give the layer's empty result, since that kid
 then changes nothing: `all_tp` keeps it, `all_tu` appends nothing for it
-and `one` counts it as a failure.  On its first run a layer reads its
-strategy: the tags of the adhoc layers it can run, and its outcome on a
-term whose datatype reaches none of them at any depth.  Where that
-outcome is the empty result, a kid of such a datatype is not entered,
-by one table per layer keyed by the kid's datatype.
-The outcome cannot be read through a `let` or a step, such as an
-`msubst` along a user-written morphism, nor where a monoid's append or
-a result's `==` raises, so any of them where the strategy would run on
-the kid switches pruning off for that layer, as does a strategy too large
-for the read, which stops after 10,000 nodes.  A datatype declared but
-not yet defined may reach anything, so it is always entered.
+and `one` counts it as a failure.  Each node is read where it is built,
+from its parts' readings: the tags of the adhoc layers it can run, and
+what it gives on a term whose datatype reaches none of them at any depth.
+Where a layer's strategy gives its empty result there, a kid of such a
+datatype is not entered, by one table per layer keyed by the kid's
+datatype.  A scheme's self-reference below a layer is assumed to give the
+layer's empty result, which holds by induction on the size of the term
+once the scheme's body gives it too.  The reading cannot see through a
+`let` or a step, such as an `msubst` along a user-written morphism, nor
+where a monoid's append or a result's `==` raises, nor a self-reference
+that a choice or seq must decide on at its own term, or that a nested
+scheme holds; any of them where the strategy would run on the kid
+switches pruning off for that layer.  A datatype declared but not yet
+defined may reach anything, so it is always entered.
 """
 
 from __future__ import annotations
@@ -149,15 +152,26 @@ def apply(s: Strategy, t: Term):
 
 # The value of a `_Const` that stands for the term it is applied to.
 _TERM = object()
+# What a reading cannot tell, as the outcome of a step or a let.
+_UNKNOWN = object()
 
 
 class _Node:
-    """A strategy as data, run by `_loop`: its context, its kind and its parts."""
+    """A strategy as data, run by `_loop`: its context, its kind and its parts.
 
-    __slots__ = ("ctx", "tp")  # tp: True for a TP, False for a TU
+    Each node is read where it is built, from its parts' readings: `tags`
+    are the tags of the adhoc layers it can run, and `out` is what it gives
+    on any term whose datatype reaches none of them at any depth: _TERM
+    (the term itself), _FAIL, a constant, _UNKNOWN, or a `_Ref` still being
+    defined, for whatever that ref gives there.  `conds` are the (ref,
+    empty) pairs the reading assumes: that the ref gives the empty result
+    of a layer over it at each kid, a smaller term than the layer's.
+    """
 
-    def __init__(self, ctx, tp):
-        self.ctx, self.tp = ctx, tp
+    __slots__ = ("ctx", "tp", "out", "tags", "conds")  # tp: True for a TP, False for a TU
+
+    def __init__(self, ctx, tp, out=_UNKNOWN, tags=frozenset(), conds=()):
+        self.ctx, self.tp, self.out, self.tags, self.conds = ctx, tp, out, tags, conds
 
     def __call__(self, t):
         return _run(self.ctx, self, t)
@@ -167,7 +181,8 @@ class _Const(_Node):
     __slots__ = ("value",)  # _TERM for identity_tp, _FAIL for fail_tp/fail_tu
 
     def __init__(self, ctx, tp, value):
-        self.ctx, self.tp, self.value = ctx, tp, value
+        super().__init__(ctx, tp, value)
+        self.value = value
 
 
 class _Adhoc(_Node):
@@ -176,15 +191,16 @@ class _Adhoc(_Node):
     __slots__ = ("default", "steps", "read")
 
     def __init__(self, default, steps):
-        self.ctx, self.tp, self.default, self.steps = default.ctx, default.tp, default, steps
-        self.read = default.ctx._read
+        super().__init__(default.ctx, default.tp, default.out, default.tags.union(steps), default.conds)
+        self.default, self.steps, self.read = default, steps, default.ctx._read
 
 
 class _Step(_Node):
     __slots__ = ("fn", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn)
 
     def __init__(self, ctx, tp, fn):
-        self.ctx, self.tp, self.fn, self.read = ctx, tp, fn, ctx._read
+        super().__init__(ctx, tp)
+        self.fn, self.read = fn, ctx._read
 
 
 class _Seq(_Node):
@@ -193,22 +209,37 @@ class _Seq(_Node):
     __slots__ = ("first", "second", "append")
 
     def __init__(self, first, second, append):
-        self.ctx, self.tp = _same_context(first.ctx, second.ctx), second.tp
+        ctx, v = _same_context(first.ctx, second.ctx), first.out
         self.first, self.second, self.append = first, second, append
+        if v is _FAIL or not _known(v):  # `second` does not run, or may
+            super().__init__(ctx, second.tp, v if v is _FAIL else _UNKNOWN, first.tags, first.conds)
+            return
+        w = second.out  # where append is None, `v` is _TERM
+        if append is not None and w is not _FAIL:
+            try:
+                w = append(v, w) if _known(w) else _UNKNOWN
+            except Exception:  # a monoid's append, which is user code
+                w = _UNKNOWN
+        super().__init__(ctx, second.tp, w, first.tags | second.tags, first.conds + second.conds)
 
 
 class _Let(_Node):
     __slots__ = ("analysis", "body")
 
     def __init__(self, tp, analysis, body):
-        self.ctx, self.tp, self.analysis, self.body = analysis.ctx, tp, analysis, body
+        super().__init__(analysis.ctx, tp)
+        self.analysis, self.body = analysis, body
 
 
 class _Choice(_Node):
     __slots__ = ("first", "second")
 
     def __init__(self, ctx, first, second):
-        self.ctx, self.tp, self.first, self.second = ctx, first.tp, first, second
+        self.first, self.second, v = first, second, first.out
+        if v is _FAIL:
+            super().__init__(ctx, first.tp, second.out, first.tags | second.tags, first.conds + second.conds)
+        else:
+            super().__init__(ctx, first.tp, v if _known(v) else _UNKNOWN, first.tags, first.conds)
 
 
 class _Layer(_Node):
@@ -218,8 +249,12 @@ class _Layer(_Node):
     __slots__ = ("s", "empty", "append", "skips")
 
     def __init__(self, s, empty, append):
-        self.ctx = _partial_context(s.ctx) if empty is _FAIL else s.ctx
-        self.tp, self.s, self.empty, self.append = s.tp, s, empty, append
+        v, conds = s.out, s.conds
+        if type(v) is _Ref:  # assume it gives `empty` at each kid
+            v, conds = empty, conds + ((v, empty),)
+        ctx = _partial_context(s.ctx) if empty is _FAIL else s.ctx
+        super().__init__(ctx, s.tp, empty if _same(v, empty) else _UNKNOWN, s.tags, conds)
+        self.s, self.empty, self.append = s, empty, append
         self.skips = _Skips(self)
 
 
@@ -227,11 +262,15 @@ class _Unlift(_Node):
     __slots__ = ("s", "initial")  # `s` moved along unlift_state(_, initial)
 
     def __init__(self, ctx, s, initial):
-        self.ctx, self.tp, self.s, self.initial = ctx, s.tp, s, initial
+        super().__init__(ctx, s.tp, s.out, s.tags, s.conds)
+        self.s, self.initial = s, initial
 
 
 class _Ref(_Node):
     __slots__ = ("body",)  # set once the strategy that refers to it exists
+
+    def __init__(self, ctx, tp):
+        super().__init__(ctx, tp, self)  # read as itself until its body is read
 
 
 # The frame kind of a result waiting for the next one to append to it.
@@ -375,10 +414,6 @@ def _run(ctx, node, t, regs=()):
     return ctx.pure(v)
 
 
-# The outcome `_outcome` cannot tell, and its mark of a part not read yet.
-_UNKNOWN = object()
-
-
 def _same(a, b) -> bool:
     try:  # a value's own ==, which may raise or give a non-bool
         return a is b or (type(a) is type(b) and (a == b) is True)
@@ -386,78 +421,20 @@ def _same(a, b) -> bool:
         return False
 
 
-def _outcome(node, tags):
-    """What `node` gives on any term that reaches none of `tags`.
+def _known(v) -> bool:
+    return v is not _UNKNOWN and type(v) is not _Ref
 
-    The outcome is _TERM (the term itself), _FAIL, a constant or _UNKNOWN;
-    `tags` collects the tags of the adhoc layers passed.  Each node is read
-    once, on a stack of (node, first) frames, `first` being a _Seq's or
-    _Choice's first outcome.  A _Ref met again below an all/one, which runs
-    it on smaller terms, is `assumed` to give the empty result of the
-    innermost one, the last of `empties`; if its body then gives that too,
-    this holds by induction on the size of the term.  Met again with as many
-    all/one open as on its entry (`entered`) it is _UNKNOWN, as are steps and
-    lets, and the read ends there: _UNKNOWN absorbs all above it.
-    """
-    stack, empties, entered, assumed = [], [], {}, {}
-    push, pop, budget = stack.append, stack.pop, 10_000  # nodes to read
-    while True:
-        # Descend: read `node` until it gives an outcome `v`.
-        while True:
-            budget -= 1
-            if budget < 0:
-                return _UNKNOWN
-            kind = type(node)
-            if kind is _Const:
-                v = node.value
-                break
-            if kind is _Adhoc:
-                tags.update(node.steps)
-                node = node.default
-            elif kind is _Seq or kind is _Choice:
-                push((node, _UNKNOWN))
-                node = node.first
-            elif kind is _Layer:
-                push((node, _UNKNOWN))
-                empties.append(node.empty)
-                node = node.s
-            elif kind is _Unlift:
-                node = node.s
-            elif kind is not _Ref or entered.get(node) == len(empties):
-                return _UNKNOWN
-            elif node in entered:
-                v = assumed.setdefault(node, empties[-1])
-                break
-            else:
-                entered[node] = len(empties)
-                push((node, _UNKNOWN))
-                node = node.body
-        # Ascend: hand `v` to pending frames until one reads a second part.
-        while True:
-            if v is _UNKNOWN or not stack:
-                return v
-            node, first = pop()
-            kind = type(node)
-            if kind is _Layer:
-                v = node.empty if _same(v, empties.pop()) else _UNKNOWN
-            elif kind is _Ref:
-                del entered[node]
-                v = v if _same(v, assumed.pop(node, v)) else _UNKNOWN
-            elif first is _UNKNOWN and (v is _FAIL) is (kind is _Choice):
-                # A _Choice's first part failed, or a _Seq's worked, where one
-                # that runs its second part on the first's output needs _TERM.
-                if kind is _Seq and node.append is None and v is not _TERM:
-                    return _UNKNOWN
-                push((node, v))
-                node = node.second
-                break
-            elif kind is _Seq and node.append is not None and first is not _UNKNOWN and v is not _FAIL:
-                if first is _TERM or v is _TERM:
-                    return _UNKNOWN
-                try:
-                    v = node.append(first, v)
-                except Exception:  # a monoid's append, which is user code
-                    return _UNKNOWN
+
+def _settle(node):
+    # The outcome and tags of `node` once the refs it rests on are defined,
+    # with the tags of each: _UNKNOWN where it gives what a ref gives, or a
+    # ref does not give what a cond assumes.
+    tags = node.tags
+    for ref, empty in node.conds:
+        if not _same(ref.out, empty):
+            return _UNKNOWN, tags
+        tags |= ref.tags
+    return (_UNKNOWN if type(node.out) is _Ref else node.out), tags
 
 
 class _Skips(dict):
@@ -466,9 +443,10 @@ class _Skips(dict):
     A kid is skipped when its datatype reaches none of `tags`.  Filled on
     demand; a datatype whose reach is not known yet, as one declared but
     not defined, is entered, and the answer is not kept.  The first miss
-    reads the strategy of `layer` with `_outcome`: `tags` are the tags of
-    the adhoc layers it can run, or None, which skips no kid, where its
-    outcome is not the layer's empty result or is past the read's budget.
+    settles the layer's reading: `tags` are the tags of the adhoc layers
+    its strategy can run, or None, which skips no kid, where what that
+    strategy gives on a kid reaching none of them is not the layer's empty
+    result or cannot be told.
     """
 
     __slots__ = ("layer", "tags")
@@ -479,9 +457,10 @@ class _Skips(dict):
 
     def __missing__(self, tag):
         if self.layer is not None:
-            layer, self.layer, tags = self.layer, None, set()
-            if _same(_outcome(layer.s, tags), layer.empty):
-                self.tags = frozenset(tags)
+            layer, self.layer = self.layer, None
+            out, tags = _settle(layer)
+            if out is layer.empty:
+                self.tags = tags
         reach = _reach(tag) if self.tags is not None else ()
         if reach is None:
             return False  # not known yet: enter, and keep no answer
@@ -518,6 +497,10 @@ def _recursive(s: Strategy, define: Callable[[Strategy], Strategy]) -> Strategy:
     rec = _wrap(ref)
     ref.body = body = _node(define(rec), type(rec))
     _same_context(ref.ctx, body.ctx)
+    # Each cond on `ref` in the body assumes what it gives at a kid, so it
+    # holds by induction on the size of the term where the body gives that.
+    ref.out = body.out
+    ref.out, ref.tags = _settle(body)
     return rec
 
 

@@ -154,13 +154,14 @@ def selectenv(env, update: Callable, s: Callable[[Any], TU]) -> TU:
     At each node the strategy for the current environment is tried first;
     below the node the environment becomes `update(env, node)`.
     """
-    ctx = _node(s(env), TU).ctx
+    here = s(env)
+    ctx = _node(here, TU).ctx
     node = TU(ctx, ctx.pure)  # the analysis whose result is the term itself
 
-    def at(env):
-        return choice_tu(s(env), let_tu(node, lambda t: one_tu(at(update(env, t)))))
+    def at(env, here):  # `here` is s(env)
+        return choice_tu(here, let_tu(node, lambda t: one_tu(at(e := update(env, t), s(e)))))
 
-    return at(env)
+    return at(env, here)
 
 
 def free_names(refs: TU, decs: TU) -> TU:

@@ -325,10 +325,9 @@ def test_topdown_and_bottomup_agree_on_large_terms(row_values, long_values):
         assert [sub.value for sub in preorder(down) if sub.tag is INT] == [v + 1 for v in ints]
 
 
-# Deep strategies, not only deep terms.  A traversal reads its strategy once
-# before pruning, on an explicit stack, within a budget of 10,000 nodes: a
-# `seq_tp` chain of 2,000 INT steps is read and prunes, one of 5,000 is past
-# the budget and runs unpruned, and both complete.
+# Deep strategies, not only deep terms.  Each node of a strategy is read
+# where it is built, from its parts' readings, so a `seq_tp` chain of INT
+# steps prunes however long it is: at 2,000 steps as at 5,000.
 
 CHAIN = 5_000
 SHORT = list(range(10))
@@ -346,6 +345,20 @@ def test_topdown_of_a_seq_chain_within_the_read_budget_prunes(ctx):
     value, state = outcome(ctx, apply(topdown(s), opaque_module()))
     assert function_of(value) == FunBind("f", (), LitInt(2_001))
     assert state == (2_000 if supports_state(ctx) else None)
+
+
+@pytest.mark.parametrize("ctx", ALL)
+def test_topdown_of_a_deep_seq_chain_prunes(ctx):
+    assert sys.getrecursionlimit() == 1000
+    ctx = CONTEXTS[ctx]
+    inc = adhoc_tp(identity_tp(ctx), INT, lambda v: counted(ctx, v + 1))
+    s = inc
+    for _ in range(CHAIN - 1):
+        s = seq_tp(s, inc)
+    # Entering the module's type would raise KeyError.
+    value, state = outcome(ctx, apply(topdown(s), opaque_module()))
+    assert function_of(value) == FunBind("f", (), LitInt(1 + CHAIN))
+    assert state == (CHAIN if supports_state(ctx) else None)
 
 
 @pytest.mark.parametrize("ctx", ALL)

@@ -61,12 +61,14 @@ from strategem.strategies import (
     all_tu,
     apply,
     build_tu,
+    choice_tp,
     fail_tp,
     fail_tu,
     identity_tp,
     msubst_tp,
     msubst_tu,
     one_tp,
+    seq_tp,
     seq_tu,
     tp_ops,
     tu_ops,
@@ -359,6 +361,17 @@ def test_selectenv_with_a_constant_environment_is_select():
     assert got == plain
 
 
+def test_selectenv_builds_the_root_strategy_once():
+    envs = []
+
+    def probe(env):
+        envs.append(env)
+        return fail_tu(PARTIAL)
+
+    selectenv(0, lambda e, t: e + 1, probe)
+    assert envs == [0]
+
+
 def test_selectenv_threads_depth_along_the_descent():
     probe = lambda d: adhoc_tu(
         fail_tu(PARTIAL), INT, lambda v: PARTIAL.pure(v) if d == 2 else NOTHING
@@ -570,10 +583,11 @@ def test_a_guess_that_holds_only_at_leaves_prunes_nothing():
 
 
 def test_a_fault_in_the_strategy_read_is_not_hidden(monkeypatch):
-    def broken(node, tags):
+    # A fault where a layer decides what to skip reaches the caller.
+    def broken(tag):
         raise KeyError("broken read")
 
-    monkeypatch.setattr(strategies, "_outcome", broken)
+    monkeypatch.setattr(strategies, "_reach", broken)
     with pytest.raises(KeyError, match="broken read"):
         apply(topdown(inc_ints_step(IDENTITY)), nested_pair())
 
@@ -593,6 +607,20 @@ def test_a_result_whose_eq_raises_still_folds():
     count = crush(adhoc_tu(build_tu(IDENTITY, Tally(0)), INT, lambda v: IDENTITY.pure(Tally(v))), tally)
     t = term([(["a"], 1), (["b", "c"], 2)], list_of(pair_of(list_of(STR), INT)))
     assert apply(count, t).n == 3
+
+
+def test_a_monoid_whose_append_raises_on_its_first_call_still_folds():
+    calls = []
+
+    def append(a, b):
+        calls.append((a, b))
+        if len(calls) == 1:
+            raise ValueError("the first append fails")
+        return a + b
+
+    count = crush(adhoc_tu(build_tu(IDENTITY, 0), INT, IDENTITY.pure), Monoid(0, append))
+    t = term([(["a"], 1), (["b", "c"], 2)], list_of(pair_of(list_of(STR), INT)))
+    assert apply(count, t) == 3
 
 
 def opaque_module(rhs=None):
@@ -617,6 +645,15 @@ def test_nested_topdowns_prune():
         s = topdown(s)
     plain = apply(s, opaque_module(TyCon("Int")))
     assert function_of(apply(s, opaque_module())) == function_of(plain) != FunBind("f", (), LitInt(1))
+
+
+def test_a_strategy_shared_at_two_places_prunes_at_any_depth():
+    # Each node is read once, where it is built, however often it is shared.
+    s = inc_ints_step(IDENTITY)
+    for _ in range(16):
+        s = topdown(seq_tp(s, s))
+    t = to_term(TypeSyn("T", Opaque()), DECL)
+    assert apply(s, t) is t
 
 
 def test_a_self_reference_assumes_the_innermost_empty_result():
@@ -758,6 +795,10 @@ def _bucket(v, n):
     return frozenset({(_size(v) + n) % 11})
 
 
+def _meta(combine, descend):
+    return lambda s: traverse_meta(combine, descend, s)
+
+
 # name: (needs failure, default, step, scheme); the step's layers go over
 # the default, the scheme over the layers.
 _SCHEMES = {
@@ -778,6 +819,19 @@ _SCHEMES = {
     "all-all-fail": (True, _fail(TP), _bump, lambda s: all_tp(all_tp(s))),
     "all-all-count": (False, _build(1), _count, lambda s: all_tu(all_tu(s, INT_SUM), INT_SUM)),
     "one-one": (True, _identity, _bump, lambda s: one_tp(one_tp(s))),
+    # A self-reference not directly below its layer: read through the cond
+    # on it in "all-all-self", and as unknown in the others.  With a total
+    # strategy the nested topdown's work is exponential in depth.
+    "all-try-self": (True, _identity, _bump, _meta(seq_tp, lambda r: all_tp(try_(r)))),
+    "one-try-self": (True, _fail(TP), _partly(_bump), _meta(choice_tp, lambda r: one_tp(try_(r)))),
+    "one-seq-self": (
+        True,
+        _fail(TP),
+        _partly(_bump),
+        _meta(choice_tp, lambda r: one_tp(seq_tp(r, identity_tp(r.context)))),
+    ),
+    "all-topdown-self": (True, _fail(TP), _partly(_bump), _meta(seq_tp, lambda r: all_tp(topdown(r)))),
+    "all-all-self": (False, _identity, _bump, _meta(seq_tp, lambda r: all_tp(all_tp(r)))),
 }
 
 _CASES = [
