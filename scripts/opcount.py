@@ -12,8 +12,9 @@ steps.  The next three build their strategy inside the operation and run
 it on a one-element list or a pair, so they count the read behind
 pruning: each node of a strategy is read where it is built, and each
 layer settles its strategy's reading on its first run.  `read_shared`
-places one strategy at two places on each of eight levels.  `pretty`
-renders the module's syntax value to text.  The last, `to_alias`, runs
+places one strategy at two places on each of eight levels.  `parse`
+reads the module's text; its regex matching runs in C and is not
+counted.  `pretty` renders the module's syntax value to text.  The last, `to_alias`, runs
 on the module with one more declaration, which holds a type focus equal
 to a synonym's right-hand side, so it rebuilds each term on the path to
 the focus through `one_tp`.  `build` applies nothing: it calls each of
@@ -222,6 +223,7 @@ def main() -> None:
         ("read_nested", read_nested, one_pair),
         ("read_mixed", read_mixed, one_pair),
         ("read_shared", read_shared, term((True, 1), pair_of(BOOL, INT))),
+        ("parse", parse, text),
         ("pretty", pretty, module),
         ("to_alias", lambda m: to_alias("S1", m), focused),
         ("build", build, (identity_tp(PARTIAL), build_tu(PARTIAL, 0), identity_tp(PARTIAL_STATE))),

@@ -17,6 +17,7 @@ cannot be written, for example to a pipe its reader has closed.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -96,6 +97,7 @@ def _print_structured(command, path, result):
     sys.stdout.write('"' + tail + "\n")
 
 
+@functools.cache  # one parser per process, not eight subparsers built on every call
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="strategem", description="analyses and transformations for .ml0 modules"

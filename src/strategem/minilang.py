@@ -20,7 +20,9 @@ quoted keywords.  INT is the digits 0-9; STRING is double-quoted on one
 line, with no escapes.  String and comment text is not lexed, so it may
 hold any character but a newline (in a string, also not `"`).  Spaces,
 tabs and carriage returns are blanks.  The command line also requires
-the whole file to be ASCII.
+the whole file to be ASCII.  The first bad character is reported before
+any syntax error.  Positions are computed when an error is raised, by
+lexing the source again up to the failing token.
 
 `<< ... >>` marks a focus; a module may contain at most one expression
 focus and at most one type focus, checked at parse time.  Application and
@@ -44,8 +46,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from typing import NamedTuple, TypeAlias
+from itertools import groupby, islice
+from typing import TypeAlias
 
 from .terms import Registry, Term
 
@@ -223,54 +225,37 @@ class MultipleFociError(ParseError):
     """More than one focus of the same kind in a module."""
 
 
-_KEYWORDS = frozenset({"module", "where", "data", "type", "let", "in"})
+# Each match skips the blanks and the comment before one token, then reads
+# it; the empty match at the end is EOF.  A lone `"` starts no string, and
+# like a character no other alternative starts with it is a token of its own.
+_TOKEN = re.compile(r"""[ \t\r]*(?:--[^\n]*)?(->|<<|>>|"[^"\n]*"|[0-9]+|[A-Za-z_][A-Za-z0-9_']*|\n|.|\Z)""")
 
-# One alternative per token class, tried in order; OTHER catches any
-# character no other alternative starts with, so matches tile the source.
-_TOKEN = re.compile(
-    r"""
-      (?P<NEWLINE>\n)
-    | (?P<SKIP>[ \t\r]+ | --[^\n]*)
-    | (?P<PUNCT>-> | << | >> | [=|()\\])
-    | "(?P<STRING>[^"\n]*)"
-    | (?P<UNTERMINATED>")
-    | (?P<INT>[0-9]+)
-    | (?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<OTHER>.)
-    """,
-    re.VERBOSE,
-)
+# Token text -> kind where the first character does not fix it; keywords
+# and punctuation are their own kind.  Any other token's kind comes from
+# its first character, and a character that starts no token is an ERROR.
+_KINDS = {text: text for text in "module where data type let in -> << >> = | ( ) \\".split()}
+_KINDS.update({"\n": "NEWLINE", "": "EOF", '"': "ERROR"})
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_FIRST = {**dict.fromkeys(_LETTERS, "CONID"), **dict.fromkeys(_LETTERS.lower() + "_", "VARID")}
+_FIRST |= {'"': "STRING", **dict.fromkeys("0123456789", "INT")}
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+def _error(message, source, index, error=ParseError):
+    """`error` at the `index`-th token of `source`, whose position is found by lexing again."""
+    start = next(islice(_TOKEN.finditer(source), index, None)).start(1)
+    line_start = source.rfind("\n", 0, start) + 1
+    return error(message, source.count("\n", 0, start) + 1, start - line_start + 1)
 
 
-def _tokenize(source: str) -> list[_Token]:
-    """Keywords and punctuation are tokens whose kind is their own text."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        text, col = m[kind], m.start() - line_start + 1
-        if kind == "NAME":
-            kind = text if text in _KEYWORDS else "CONID" if text[0].isupper() else "VARID"
-        elif kind == "PUNCT":
-            kind = text
-        elif kind == "UNTERMINATED":
-            raise ParseError("unterminated string", line, col)
-        elif kind == "OTHER":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        tokens.append(_Token(kind, text, line, col))
-        if kind == "NEWLINE":
-            line, line_start = line + 1, m.end()
-    tokens.append(_Token("EOF", "", line, len(source) - line_start + 1))
-    return tokens
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The texts of the tokens of `source` and, in a list of the same length, their kinds."""
+    texts = _TOKEN.findall(source)
+    kinds = [_KINDS.get(text) or _FIRST.get(text[0], "ERROR") for text in texts]
+    if "ERROR" in kinds:
+        i = kinds.index("ERROR")
+        message = "unterminated string" if texts[i] == '"' else f"unexpected character {texts[i]!r}"
+        raise _error(message, source, i)
+    return texts, kinds
 
 
 class _Syntax:
@@ -291,7 +276,7 @@ _TYPE = _Syntax("type", "expected a type", {"CONID": TyCon, "VARID": TyVar}, TyA
 _EXPR = _Syntax(
     "expression",
     "expected an expression",
-    {"VARID": Var, "CONID": Con, "INT": lambda text: LitInt(int(text)), "STRING": LitStr},
+    {"VARID": Var, "CONID": Con, "INT": lambda t: LitInt(int(t)), "STRING": lambda t: LitStr(t[1:-1])},
     App,
     Focus,
     False,
@@ -299,76 +284,70 @@ _EXPR = _Syntax(
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    def __init__(self, source):
+        self.source = source
+        self.texts, self.kinds = _tokenize(source)
         self.pos = 0
         self.foci = {"expression": 0, "type": 0}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message, pos=None, error=ParseError):
+        """Raise `error` at the token at `pos`, by default the next one."""
+        raise _error(message, self.source, self.pos if pos is None else pos, error)
 
-    def advance(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def fail(self, message):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
-
-    def expect(self, kind) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            got = t.text if t.kind != "EOF" else "end of input"
+    def expect(self, kind) -> str:
+        """The text of the next token, which must be of `kind`; the parser moves past it."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            text = self.texts[pos]  # a string's text is named without its quotes
+            got = text[1:-1] if self.kinds[pos] == "STRING" else text or "end of input"
             self.fail(f"expected {kind!r}, got {got!r}")
-        return self.advance()
-
-    def at(self, kind) -> bool:
-        return self.peek().kind == kind
+        self.pos = pos + 1
+        return self.texts[pos]
 
     def skip_newlines(self):
-        while self.at("NEWLINE"):
-            self.advance()
+        while self.kinds[self.pos] == "NEWLINE":
+            self.pos += 1
 
     def module(self) -> Module:
         self.skip_newlines()
         self.expect("module")
-        name = self.expect("CONID").text
+        name = self.expect("CONID")
         self.expect("where")
         decls = []
-        while not self.at("EOF"):
-            if not self.at("NEWLINE"):
+        while self.kinds[self.pos] != "EOF":
+            if self.kinds[self.pos] != "NEWLINE":
                 self.fail("expected end of line")
             self.skip_newlines()
-            if not self.at("EOF"):
+            if self.kinds[self.pos] != "EOF":
                 decls.append(self.decl())
         return Module(name, tuple(decls))
 
     def decl(self) -> Decl:
-        if self.at("data") or self.at("type"):
-            keyword = self.advance().kind
-            name = self.expect("CONID").text
+        keyword = self.kinds[self.pos]
+        if keyword == "data" or keyword == "type":
+            self.pos += 1
+            name = self.expect("CONID")
             self.expect("=")
             if keyword == "type":
                 return TypeSyn(name, self.phrase(_TYPE))
             cons = [self.con()]
-            while self.at("|"):
-                self.advance()
+            while self.kinds[self.pos] == "|":
+                self.pos += 1
                 cons.append(self.con())
             return DataDecl(name, tuple(cons))
-        if self.at("VARID"):
-            name = self.advance().text
+        if keyword == "VARID":
+            name = self.expect("VARID")
             params = []
-            while not self.at("="):
+            while self.kinds[self.pos] != "=":
                 params.append(self.pat())
-            self.expect("=")
+            self.pos += 1
             return FunBind(name, tuple(params), self.phrase(_EXPR))
         self.fail("expected a declaration")
 
     def con(self):
-        name = self.expect("CONID").text
+        name = self.expect("CONID")
         fields = []
-        while self.peek().kind in _TYPE.starts:
+        while self.kinds[self.pos] in _TYPE.starts:
             fields.append(self.phrase(_TYPE, atom=True))
         return (name, tuple(fields))
 
@@ -379,50 +358,63 @@ class _Parser:
         the bottom; ")", or ">>" with the focus class; "in" with a let's name;
         "app" with the spine so far; "wrap" with the constructor that takes
         the whole phrase read next (a let or lambda body, an arrow's result).
+        `pos` is the next token's index, stored in `self.pos` for the calls made.
         """
-        starts = syntax.starts
+        kinds, texts = self.kinds, self.texts
+        leaves, starts, arrow = syntax.leaves, syntax.starts, syntax.arrow
         stack = [("atom" if atom else "end", None)]
+        pos = self.pos
         while True:
-            tok = self.advance()
-            if tok.kind in syntax.leaves:
-                node = syntax.leaves[tok.kind](tok.text)
+            kind = kinds[pos]
+            pos += 1
+            if kind in leaves:
+                node = leaves[kind](texts[pos - 1])
             else:
-                if tok.kind == "(":
+                if kind == "(":
                     stack.append((")", None))
-                elif tok.kind == "<<":
+                elif kind == "<<":
                     self.foci[syntax.what] += 1
                     if self.foci[syntax.what] > 1:
-                        message = f"more than one {syntax.what} focus"
-                        raise MultipleFociError(message, tok.line, tok.col)
+                        self.fail(f"more than one {syntax.what} focus", pos - 1, MultipleFociError)
                     stack.append((">>", syntax.focus))
-                elif tok.kind == "let" and not syntax.arrow:
-                    stack.append(("in", self.expect("VARID").text))
+                elif kind == "let" and not arrow:
+                    self.pos = pos
+                    stack.append(("in", self.expect("VARID")))
                     self.expect("=")
-                elif tok.kind == "\\" and not syntax.arrow:
+                    pos = self.pos
+                elif kind == "\\" and not arrow:
+                    self.pos = pos
                     stack.append(("wrap", partial(Lam, self.pat())))
                     self.expect("->")
+                    pos = self.pos
                 else:
-                    raise ParseError(syntax.expected, tok.line, tok.col)
+                    self.fail(syntax.expected, pos - 1)
                 continue
             while True:  # `node` is an atom: extend the spine, then close what it ends
                 if stack[-1][0] == "app":
                     node = syntax.app(stack.pop()[1], node)
                 form, part = stack[-1]
                 if form == "atom":
+                    self.pos = pos
                     return node
-                if self.peek().kind in starts:
+                kind = kinds[pos]
+                if kind in starts:
                     stack.append(("app", node))
                     break
-                if syntax.arrow and self.at("->"):
-                    self.advance()
+                if arrow and kind == "->":
+                    pos += 1
                     stack.append(("wrap", partial(TyFun, node)))
                     break
                 while form == "wrap":  # `node` is a whole phrase
                     node = stack.pop()[1](node)
                     form, part = stack[-1]
                 if form == "end":
+                    self.pos = pos
                     return node
-                self.expect(form)
+                if kind != form:
+                    self.pos = pos
+                    self.expect(form)  # raises
+                pos += 1
                 stack.pop()
                 if form == "in":
                     stack.append(("wrap", partial(Let, part, node)))
@@ -432,29 +424,32 @@ class _Parser:
 
     def pat(self) -> Pattern:
         """Read a pattern; `stack` holds each open constructor pattern's name and arguments."""
+        kinds, texts = self.kinds, self.texts
         stack = [(None, [])]
+        pos = self.pos
         while True:
-            tok = self.advance()
-            if tok.kind == "VARID":
-                stack[-1][1].append(PVar(tok.text))
-            elif tok.kind == "(":
-                stack.append((self.expect("CONID").text, []))
+            kind = kinds[pos]
+            if kind == "VARID":
+                stack[-1][1].append(PVar(texts[pos]))
+                pos += 1
+            elif kind == "(":
+                self.pos = pos + 1
+                stack.append((self.expect("CONID"), []))
+                pos = self.pos
             else:
-                raise ParseError("expected a pattern", tok.line, tok.col)
-            while len(stack) > 1 and self.at(")"):
-                self.advance()
+                self.fail("expected a pattern", pos)
+            while len(stack) > 1 and kinds[pos] == ")":
+                pos += 1
                 name, args = stack.pop()
                 stack[-1][1].append(PCon(name, tuple(args)))
             if len(stack) == 1:
+                self.pos = pos
                 return stack[0][1][0]
 
 
 def parse(source: str) -> Module:
     """Parse module source, raising ParseError with line and column."""
-    parser = _Parser(_tokenize(source))
-    module = parser.module()
-    parser.expect("EOF")
-    return module
+    return _Parser(source).module()
 
 
 # Precedence places: a node whose own place is below the place its parent

@@ -273,6 +273,23 @@ def test_module_entry_point(capsys):
         main(["no-such-command", "x.ml0"])
 
 
+def test_repeated_calls_see_only_their_own_arguments(capsys):
+    syn, case01 = str(CORPUS / "syn.ml0"), str(CORPUS / "toalias" / "case01.ml0")
+    assert run(capsys, "fresh-type", "--name", "L", syn) == (0, "false\n", "")
+    code, out, _ = run(capsys, "fresh-type", "--format", "structured", "--name", "Zzz", syn)
+    assert (code, json.loads(out)) == (0, {"command": "fresh-type", "input": syn, "result": True})
+    assert run(capsys, "collect-types", syn) == (0, "F\nInt\nL\nN\n", "")
+    golden = (Path(__file__).parent / "golden" / "toalias" / "case01.out").read_text()
+    assert run(capsys, "to-alias", "--name", "N", case01) == (0, golden, "")
+    # A usage error still exits 2, whatever the calls before it were given.
+    for argv in (["fresh-type", syn], ["count-decls", "--name", "N", syn], ["free-vars", "--format", "json", syn]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert "usage: strategem" in capsys.readouterr().err
+    assert run(capsys, "count-decls", str(CORPUS / "funs.ml0")) == (0, "6\n", "")
+
+
 def test_console_script_is_installed():
     exe = shutil.which("strategem")
     if exe is None:

@@ -66,6 +66,30 @@ def test_generated_modules_round_trip(m):
     assert parse(pretty(m)) == m
 
 
+_BLANKS = st.text(st.sampled_from(" \t\r"), min_size=1, max_size=3)
+_LINE_END = st.tuples(
+    st.sampled_from(["", " ", "\t", "\r"]),
+    st.sampled_from(["", "--", "-- c", "--c -> x", '-- "', "---"]),  # comment text is not lexed
+).map("".join)
+
+
+@given(gen_terms.modules, st.data())
+def test_blanks_and_comments_between_tokens_change_nothing(m, data):
+    # Every space outside a string becomes a run of blanks; before each line
+    # end go blanks and a comment, which may follow the last token directly
+    # (`x--c`).  The text may end in a comment without a newline.
+    text, out, inside = pretty(m)[:-1], [], False
+    for ch in text:
+        inside ^= ch == '"'
+        if ch == " " and not inside:
+            ch = data.draw(_BLANKS)
+        elif ch == "\n":
+            ch = data.draw(_LINE_END) + "\n"
+        out.append(ch)
+    out.append(data.draw(st.sampled_from(["", "\n", "--", "-- end", "\r\n-- end"])))
+    assert parse("".join(out)) == m
+
+
 def test_round_trip_preserves_foci():
     src = (CORPUS / "focus.ml0").read_text()
     m = parse(src)
@@ -265,6 +289,42 @@ def test_trailing_garbage_rejected():
 def test_error_messages_and_positions(decl, message, col):
     e = _err(f"module M where\n{decl}\n")
     assert (e.message, e.line, e.col) == (message, 2, col)
+
+
+@pytest.mark.parametrize(
+    "src, line, col, message",
+    [
+        ("module M where\nf =", 2, 4, "expected an expression"),
+        ("module M where\nf = (1", 2, 7, "expected ')', got 'end of input'"),
+        # The lexical error wins over the earlier syntax error.
+        ("module M where\nf = )\ng = @\n", 3, 5, "unexpected character '@'"),
+        ("module M where\n\tf = 1 @\n", 2, 8, "unexpected character '@'"),
+        ("", 1, 1, "expected 'module', got 'end of input'"),
+        ("module M where\nf = -", 2, 5, "unexpected character '-'"),
+        ("module M where\nf = >", 2, 5, "unexpected character '>'"),
+        ('module M where\r\nf = "ab\r\n', 2, 5, "unterminated string"),
+        ('module "x"', 1, 8, "expected 'CONID', got 'x'"),
+        ("module M\r\n\twhere x", 1, 10, "expected 'where', got '\\n'"),
+        ("module M where\nf = << a >>\ng = << b >> @", 3, 13, "unexpected character '@'"),
+    ],
+)
+def test_exact_error_positions(src, line, col, message):
+    e = _err(src)
+    assert (e.line, e.col, e.message) == (line, col, message)
+
+
+@pytest.mark.parametrize(
+    "src, body",
+    [
+        ("module M where\nf = x--c", Var("x")),
+        ("module M where\r\n\tf = 1\r\n", LitInt(1)),
+        ("module M where\nf = 12abc", App(LitInt(12), Var("abc"))),
+        ('module M where\nf = "a -- b"', LitStr("a -- b")),
+        ('module M where\nf = ""', LitStr("")),
+    ],
+)
+def test_lexing_edge_cases(src, body):
+    assert parse(src).decls[0].body == body
 
 
 def test_missing_expression():
