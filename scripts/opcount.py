@@ -14,13 +14,16 @@ pruning: each node of a strategy is read where it is built, and each
 layer settles its strategy's reading on its first run.  `read_shared`
 places one strategy at two places on each of eight levels.  `parse`
 reads the module's text; its regex matching runs in C and is not
-counted.  `pretty` renders the module's syntax value to text.  The last, `to_alias`, runs
-on the module with one more declaration, which holds a type focus equal
-to a synonym's right-hand side, so it rebuilds each term on the path to
-the focus through `one_tp`.  `build` applies nothing: it calls each of
-the 29 functions that make a strategy from strategies once, on fixed
-small strategies, so it counts construction alone, the reading of each
-new node included.  Work done in C (set and dict operations, builtins) is
+counted.  `pretty` renders the module's syntax value to text.  `to_alias`
+runs on the module with one more declaration, which holds a type focus
+equal to a synonym's right-hand side, so it rebuilds each term on the
+path to the focus through `one_tp`.  `selectenv` searches the module
+with a PARTIAL INT step that never matches, under an environment that
+counts the depth, so it builds a `choice_tu`, a `let_tu` and a `one_tu`
+at each node it enters.  `build` applies nothing: it calls each of the
+29 functions that make a strategy from strategies once, on fixed small
+strategies, so it counts construction alone, the reading of each new
+node included.  Work done in C (set and dict operations, builtins) is
 not counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
@@ -48,6 +51,7 @@ from strategem import (
     choice_tu,
     crush,
     fail_tp,
+    fail_tu,
     free_names,
     identity_morphism,
     identity_tp,
@@ -205,6 +209,8 @@ def main() -> None:
     bump = topdown(adhoc_tp(identity_tp(IDENTITY), INT, lambda n: IDENTITY.pure(n + 1)))
     never = once_td(adhoc_tp(fail_tp(PARTIAL), INT, lambda _n: PARTIAL.zero()))
     count_ints = local_state(0, topdown(adhoc_tp(identity_tp(PARTIAL_STATE), INT, tick)))
+    no_int = adhoc_tu(fail_tu(PARTIAL), INT, lambda _n: PARTIAL.zero())
+    find_env = selectenv(0, lambda env, _t: env + 1, lambda _env: no_int)
     decls = [to_term(d) for d in module.decls] * 2
     one_pair = term([(True, 1)], list_of(pair_of(BOOL, INT)))
     focused = parse(text + "data Focus = MkFocus << Int -> D0 >>\n")  # the focus is S1's right-hand side
@@ -226,6 +232,7 @@ def main() -> None:
         ("parse", parse, text),
         ("pretty", pretty, module),
         ("to_alias", lambda m: to_alias("S1", m), focused),
+        ("selectenv", lambda t: apply(find_env, t), mterm),
         ("build", build, (identity_tp(PARTIAL), build_tu(PARTIAL, 0), identity_tp(PARTIAL_STATE))),
     ]
     print(f"python {sys.version.split()[0]}")

@@ -298,9 +298,7 @@ class _Parser:
         """The text of the next token, which must be of `kind`; the parser moves past it."""
         pos = self.pos
         if self.kinds[pos] != kind:
-            text = self.texts[pos]  # a string's text is named without its quotes
-            got = text[1:-1] if self.kinds[pos] == "STRING" else text or "end of input"
-            self.fail(f"expected {kind!r}, got {got!r}")
+            self.fail(f"expected {kind!r}, got {self.texts[pos] or 'end of input'!r}")
         self.pos = pos + 1
         return self.texts[pos]
 

@@ -37,44 +37,50 @@ Strategies are data run by one loop.  Every combinator builds a small
 node, held in the `run` field of its TP or TU, and `_loop` interprets the
 nodes with an explicit stack of pending frames, so no traversal recurses
 on the Python stack however deep or long its term.  Failure is a sentinel
-passed back up the stack; `fail_tp` and `fail_tu` are the constant node
-whose value it is, as `identity_tp` and `build_tu` are constant nodes.
-The states of a state context are a register tuple, which `choice` and
-`one` save and restore when a branch fails.  A `TP(ctx, fn)` or
-`TU(ctx, fn)` made from a function is a step: the loop calls it and
-reads its computation with the context's `_read`, as an adhoc step's, and
-raises `TypeError` where a TP step gives no term of its term's datatype.
-A node is callable, so `s.run(t)` is `apply(s, t)`.  The strategy a
-`let` body returns is checked in the same way when it is chosen.  So a TP
-node gives only terms of its input's datatype, and a layer rebuilds
-through the view of its term's datatype with no further check.
+passed back up the stack.  The states of a state context are a register
+tuple, which `choice` and `one` save and restore when a branch fails.  A
+node is callable, so `s.run(t)` is `apply(s, t)`.
+
+There is one type-case node: a step per tag over one generic default,
+which is a node, a constant or a function of the term.  `identity_tp`,
+`build_tu`, `fail_tp` and `fail_tu` are type-cases with no cases whose
+default is a constant: the term itself, a value or the failure sentinel.
+A `TP(ctx, fn)` or `TU(ctx, fn)` made from a function is one whose
+default is `fn`: the loop calls it and reads its computation with the
+context's `_read`, as an adhoc step's, and raises `TypeError` where a
+TP's `fn` gives no term of its term's datatype.  The strategy a `let`
+body returns is checked in the same way when it is chosen.  So a TP node
+gives only terms of its input's datatype, and a layer rebuilds through
+the view of its term's datatype with no further check.
 
 In a state context `apply` returns a computation that runs nothing until
 it is given a state.  Along a library morphism `msubst` is a node: the
 strategy's own, a choice of it and the default, or one that puts the
-initial state in front of the register.  Along any other it is a step
-that applies the strategy in a nested loop, so a recursion through it
-is bounded by the Python stack again.
+initial state in front of the register.  Along any other it is a
+function that applies the strategy in a nested loop, so a recursion
+through it is bounded by the Python stack again.
 
-Nested adhoc layers collapse into one node holding a dict from tag to
-step, so a chain dispatches with one lookup.  A traversal skips the
-subterms no adhoc layer can reach, by one rule: a layer skips a kid where
-its strategy is known to give the layer's empty result, since that kid
-then changes nothing: `all_tp` keeps it, `all_tu` appends nothing for it
-and `one` counts it as a failure.  Each node is read where it is built,
-from its parts' readings: the tags of the adhoc layers it can run, and
-what it gives on a term whose datatype reaches none of them at any depth.
-Where a layer's strategy gives its empty result there, a kid of such a
+An adhoc layer over a type-case joins its dict from tag to step, so a
+chain of adhoc layers over any generic default is one node, which
+dispatches with one lookup.  A traversal skips the subterms no adhoc
+layer can reach, by one rule: a layer skips a kid where its strategy is
+known to give the layer's empty result, since that kid then changes
+nothing: `all_tp` keeps it, `all_tu` appends nothing for it and `one`
+counts it as a failure.  Each node is read where it is built, from its
+parts' readings: the tags of the adhoc layers it can run, and what it
+gives on a term whose datatype reaches none of them at any depth.  Where
+a layer's strategy gives its empty result there, a kid of such a
 datatype is not entered, by one table per layer keyed by the kid's
-datatype.  A scheme's self-reference below a layer is assumed to give the
-layer's empty result, which holds by induction on the size of the term
-once the scheme's body gives it too.  The reading cannot see through a
-`let` or a step, such as an `msubst` along a user-written morphism, nor
-where a monoid's append or a result's `==` raises, nor a self-reference
-that a choice or seq must decide on at its own term, or that a nested
-scheme holds; any of them where the strategy would run on the kid
-switches pruning off for that layer.  A datatype declared but not yet
-defined may reach anything, so it is always entered.
+datatype.  A scheme's self-reference below a layer is assumed to give
+the layer's empty result, which holds by induction on the size of the
+term once the scheme's body gives it too.  The reading cannot see
+through a `let` or a function default, such as an `msubst` along a
+user-written morphism, nor where a monoid's append or a result's `==`
+raises, nor a self-reference that a choice or seq must decide on at its
+own term, or that a nested scheme holds; any of them where the strategy
+would run on the kid switches pruning off for that layer.  A datatype
+declared but not yet defined may reach anything, so it is always
+entered.
 """
 
 from __future__ import annotations
@@ -150,9 +156,9 @@ def apply(s: Strategy, t: Term):
     return _node(s)(t)
 
 
-# The value of a `_Const` that stands for the term it is applied to.
+# The constant default of a type-case that stands for the term it is applied to.
 _TERM = object()
-# What a reading cannot tell, as the outcome of a step or a let.
+# What a reading cannot tell, as the outcome of a function or a let.
 _UNKNOWN = object()
 
 
@@ -177,30 +183,19 @@ class _Node:
         return _run(self.ctx, self, t)
 
 
-class _Const(_Node):
-    __slots__ = ("value",)  # _TERM for identity_tp, _FAIL for fail_tp/fail_tu
-
-    def __init__(self, ctx, tp, value):
-        super().__init__(ctx, tp, value)
-        self.value = value
-
-
 class _Adhoc(_Node):
-    # `steps` maps each tag of a chain of adhoc layers to its step, whose
-    # value a TP wraps as a term; `read`: the context's `_read`.
-    __slots__ = ("default", "steps", "read")
+    # The type-case: `steps` maps each tag of a chain of adhoc layers to its
+    # step, whose value a TP wraps as a term.  Any other tag gets the generic
+    # default: `fn`, a function of the term, whose value a TP checks; else the
+    # node `default`; else the constant `out`.  `read`: the context's `_read`.
+    __slots__ = ("steps", "default", "fn", "read")
 
-    def __init__(self, default, steps):
-        super().__init__(default.ctx, default.tp, default.out, default.tags.union(steps), default.conds)
-        self.default, self.steps, self.read = default, steps, default.ctx._read
-
-
-class _Step(_Node):
-    __slots__ = ("fn", "read")  # the function of a TP(ctx, fn) or TU(ctx, fn)
-
-    def __init__(self, ctx, tp, fn):
-        super().__init__(ctx, tp)
-        self.fn, self.read = fn, ctx._read
+    def __init__(self, ctx, tp, out, default=None, fn=None, steps={}):
+        if default is None:
+            super().__init__(ctx, tp, out, frozenset(steps))
+        else:
+            super().__init__(ctx, tp, default.out, default.tags.union(steps), default.conds)
+        self.steps, self.default, self.fn, self.read = steps, default, fn, ctx._read
 
 
 class _Seq(_Node):
@@ -309,10 +304,15 @@ def _loop(node, t, regs):
                     if node.tp and v is not _FAIL:
                         v = term(v, t.tag)
                     break
+                if node.fn is not None:
+                    v, regs = node.read(node.fn(t), regs)
+                    if node.tp and v is not _FAIL and not (isinstance(v, Term) and v.tag is t.tag):
+                        raise TypeError(f"{v!r} is not a term of datatype {t.tag.name}")
+                    break
+                if node.default is None:
+                    v = t if node.out is _TERM else node.out
+                    break
                 node = node.default
-            elif kind is _Const:
-                v = t if node.value is _TERM else node.value
-                break
             elif kind is _Layer:
                 kids, i, skips = t.tag.children(t), 0, node.skips
                 while i < len(kids) and skips[kids[i].tag]:
@@ -332,14 +332,9 @@ def _loop(node, t, regs):
             elif kind is _Let:
                 push((_Let, node, t))
                 node = node.analysis
-            elif kind is _Unlift:
+            else:  # _Unlift
                 push((_Unlift,))
                 regs, node = (node.initial, *regs), node.s
-            else:
-                v, regs = node.read(node.fn(t), regs)
-                if node.tp and v is not _FAIL and not (isinstance(v, Term) and v.tag is t.tag):
-                    raise TypeError(f"{v!r} is not a term of datatype {t.tag.name}")
-                break
         # Ascend: hand `v` to pending frames until one descends again.
         while stack:
             frame = pop()
@@ -469,15 +464,16 @@ class _Skips(dict):
 
 
 def _node(s: Strategy, kind=Strategy) -> _Node:
-    # The node of `s`, a strategy of `kind` (TP, TU or either), or a step
-    # around its function; the one reader of a TP or TU.  Anything else, and
-    # one around a node of the other kind or of another context, is refused.
+    # The node of `s`, a strategy of `kind` (TP, TU or either), or a type-case
+    # with no cases around its function; the one reader of a TP or TU.
+    # Anything else, and one around a node of the other kind or of another
+    # context, is refused.
     if not isinstance(s, kind):
         want = "TP or TU" if kind is Strategy else kind.__name__
         raise TypeError(f"expected a {want} strategy, got {type(s).__name__}")
     tp, node = isinstance(s, TP), s.run
     if not isinstance(node, _Node):
-        return _Step(s.context, tp, node)
+        return _Adhoc(s.context, tp, _UNKNOWN, fn=node)
     if node.tp is not tp:
         outer, inner = ("TP", "TU") if tp else ("TU", "TP")
         raise TypeError(f"expected a {outer} strategy, got the node of a {inner}")
@@ -518,31 +514,33 @@ def _partial_context(ctx: EffectContext) -> EffectContext:
 
 def identity_tp(ctx: EffectContext) -> TP:
     """Succeed on every term, returning it unchanged."""
-    return TP(ctx, _Const(ctx, True, _TERM))
+    return TP(ctx, _Adhoc(ctx, True, _TERM))
 
 
 def build_tu(ctx: EffectContext, value) -> TU:
     """Succeed on every term with a constant result."""
-    return TU(ctx, _Const(ctx, False, value))
+    return TU(ctx, _Adhoc(ctx, False, value))
 
 
 def fail_tp(ctx: EffectContext) -> TP:
     """Fail on every term."""
-    return TP(ctx, _Const(_partial_context(ctx), True, _FAIL))
+    return TP(ctx, _Adhoc(_partial_context(ctx), True, _FAIL))
 
 
 def fail_tu(ctx: EffectContext) -> TU:
     """Fail on every term."""
-    return TU(ctx, _Const(_partial_context(ctx), False, _FAIL))
+    return TU(ctx, _Adhoc(_partial_context(ctx), False, _FAIL))
 
 
 def _adhoc(kind, default, tag, step):
-    # One node for a chain of adhoc layers: a layer over another joins its
-    # dict, where the outer layer's step for a tag wins.
+    # One node for a chain of adhoc layers over any generic default: a layer
+    # over a type-case joins its dict, where the outer layer's step for a tag
+    # wins, and any other node becomes the default of a new one.
     inner = _node(default, kind)
-    if type(inner) is _Adhoc:
-        return _wrap(_Adhoc(inner.default, {**inner.steps, tag: step}))
-    return _wrap(_Adhoc(inner, {tag: step}))
+    if type(inner) is not _Adhoc:
+        return _wrap(_Adhoc(inner.ctx, inner.tp, _UNKNOWN, inner, steps={tag: step}))
+    steps = {**inner.steps, tag: step}
+    return _wrap(_Adhoc(inner.ctx, inner.tp, inner.out, inner.default, inner.fn, steps))
 
 
 def adhoc_tp(default: TP, tag: TypeTag, step: Callable) -> TP:
@@ -643,14 +641,15 @@ def _msubst(kind, morphism, s):
     func = getattr(run, "func", run)  # a library morphism's, bound by partial
     if func is _recover:
         default = run.args[0]
-        # A TP hands the default out through a checked step, as any step's value.
-        fallback = _Step(ctx, True, lambda t: default) if kind is TP else _Const(ctx, False, default)
-        return _wrap(_Choice(ctx, node, fallback))
+        # A TP hands the default out through a checked function, as any step's value.
+        if kind is TP:
+            return _wrap(_Choice(ctx, node, _Adhoc(ctx, True, _UNKNOWN, fn=lambda t: default)))
+        return _wrap(_Choice(ctx, node, _Adhoc(ctx, False, default)))
     if func is _unlift:
         return _wrap(_Unlift(ctx, node, run.args[1]))
     if func is _unchanged:
         return kind(ctx, node)
-    return _wrap(_Step(ctx, kind is TP, lambda t: run(_run(morphism.source, node, t))))
+    return _wrap(_Adhoc(ctx, kind is TP, _UNKNOWN, fn=lambda t: run(_run(morphism.source, node, t))))
 
 
 def msubst_tp(morphism: EffectMorphism, s: TP) -> TP:

@@ -555,8 +555,6 @@ class Registry:
             raise DuplicateRegistration(
                 f"datatype {tag.name} is already defined with a different shape"
             )
-        if self._frozen:
-            raise RegistryFrozen(f"registry is frozen; cannot define {tag.name}")
         built = []
         for cls, ftags in signature:
             if not dataclasses.is_dataclass(cls):

@@ -164,6 +164,14 @@ def test_partial_state_plus_commits():
     assert run_state(comp, 9) == Just((1, 9))
 
 
+def test_nested_state_plus_commits_through_both_layers():
+    ctx = StateOver(PARTIAL_STATE)
+    lose = ctx.bind(ctx.put(5), lambda _: ctx.zero())
+    assert _run_from(ctx.plus(lose, ctx.get()), (1, 2)) == Just(((1, 1), 2))
+    assert _run_from(ctx.plus(ctx.pure(3), ctx.pure(4)), (1, 2)) == Just(((3, 1), 2))
+    assert _run_from(ctx.plus(ctx.zero(), ctx.zero()), (1, 2)) is NOTHING
+
+
 def test_capabilities():
     assert supports_failure(PARTIAL) and supports_failure(PARTIAL_STATE)
     assert not supports_failure(IDENTITY) and not supports_failure(STATE)

@@ -303,7 +303,7 @@ def test_error_messages_and_positions(decl, message, col):
         ("module M where\nf = -", 2, 5, "unexpected character '-'"),
         ("module M where\nf = >", 2, 5, "unexpected character '>'"),
         ('module M where\r\nf = "ab\r\n', 2, 5, "unterminated string"),
-        ('module "x"', 1, 8, "expected 'CONID', got 'x'"),
+        ('module "x"', 1, 8, "expected 'CONID', got '\"x\"'"),
         ("module M\r\n\twhere x", 1, 10, "expected 'where', got '\\n'"),
         ("module M where\nf = << a >>\ng = << b >> @", 3, 13, "unexpected character '@'"),
     ],

@@ -155,6 +155,31 @@ def test_adhoc_most_recent_customization_wins():
     assert (apply(u, term(4)), apply(u, term("a")), apply(u, term(True))) == (3, 2, 0)
 
 
+@pytest.mark.parametrize(
+    "default",
+    [
+        identity_tp(PARTIAL),
+        build_tu(PARTIAL, 0),
+        fail_tp(PARTIAL),
+        fail_tu(PARTIAL),
+        TP(PARTIAL, PARTIAL.pure),
+        TU(PARTIAL, lambda t: PARTIAL.pure(-1)),
+    ],
+    ids=["identity_tp", "build_tu", "fail_tp", "fail_tu", "TP", "TU"],
+)
+def test_an_adhoc_chain_over_a_generic_default_is_one_node(default):
+    # The generic default itself is a type-case with no cases, so the chain
+    # joins it: one node, with no node below it to dispatch to.
+    adhoc = adhoc_tp if isinstance(default, TP) else adhoc_tu
+    s = adhoc(adhoc(default, INT, PARTIAL.pure), STR, PARTIAL.pure)
+    node = s.run
+    assert type(node) is strategies._Adhoc and node.default is None
+    assert set(node.steps) == {INT, STR}
+    assert apply(s, term(True)) == apply(default, term(True))
+    i, a = (term(4), term("a")) if isinstance(default, TP) else (4, "a")
+    assert (apply(s, term(4)), apply(s, term("a"))) == (Just(i), Just(a))
+
+
 def test_adhoc_on_node_datatype_sees_bare_value():
     seen = []
 

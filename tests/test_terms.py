@@ -287,6 +287,22 @@ def test_equal_terms_hash_alike(t):
             assert tail == plain and h == hash(plain)
 
 
+def test_a_term_is_never_equal_to_a_bare_value():
+    assert term(1).__eq__(1) is NotImplemented
+    assert term(1) != 1 and 1 != term(1) and not term(1) == 1
+
+
+def test_a_list_view_misses_every_attribute_but_value():
+    t = term([1, 2, 3], list_of(INT))
+    tail = children(t)[1]
+    cons = rebuild(t, (term(9), tail))
+    for view in (tail, cons):
+        with pytest.raises(AttributeError, match="nope"):
+            view.nope
+        assert not hasattr(view, "head_of")
+    assert (tail.value, cons.value) == ([2, 3], [9, 2, 3])
+
+
 def test_atoms_of_different_datatypes_stay_apart():
     assert term(1) != term(True)
     assert len({term(1), term(True), term(1)}) == 2
@@ -494,6 +510,25 @@ def test_non_dataclass_constructor_rejected():
         r.define(r.declare("A"), [(Plain, ())])
 
 
+def test_define_refuses_a_tag_of_another_registry_and_a_wrong_field_count():
+    r, other = Registry(), Registry()
+
+    @dataclass(frozen=True)
+    class One:
+        n: int
+
+    with pytest.raises(UnregisteredType, match="was not declared in this registry"):
+        r.define(other.declare("A"), [(One, (INT,))])
+    r.declare("A")  # a tag of the same name is still not the other registry's
+    with pytest.raises(UnregisteredType, match="was not declared in this registry"):
+        r.define(other.tag("A"), [(One, (INT,))])
+    with pytest.raises(ArityMismatch, match="A.One has 1 fields, got 2 tags"):
+        r.define(r.tag("A"), [(One, (INT, INT))])
+    # A refused definition leaves the datatype undefined, so it can still be defined.
+    assert r.define(r.tag("A"), [(One, (INT,))]) is r.tag("A")
+    assert r.term(One(1)).tag is r.tag("A")
+
+
 def test_derive_resolves_container_annotations():
     r = Registry()
 
@@ -535,6 +570,26 @@ def test_derive_rejects_unknown_annotations():
     for cls in (Bad, BareList, TwoArgList):
         with pytest.raises(UnregisteredType):
             r.derive({cls.__name__: [cls]})
+
+
+def test_derive_refuses_long_tuples_and_unions_across_datatypes():
+    @dataclass(frozen=True)
+    class Triple:
+        x: tuple[int, int, int]
+
+    @dataclass(frozen=True)
+    class Either:
+        x: int | str
+
+    @dataclass(frozen=True)
+    class MaybeEither:
+        x: Optional[int | str]
+
+    with pytest.raises(UnregisteredType, match="only pairs and tuple"):
+        Registry().derive({"Triple": [Triple]})
+    for cls in (Either, MaybeEither):
+        with pytest.raises(UnregisteredType, match="union members span several datatypes"):
+            Registry().derive({cls.__name__: [cls]})
 
 
 def test_registry_tag_lookup():
