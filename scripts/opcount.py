@@ -20,10 +20,13 @@ equal to a synonym's right-hand side, so it rebuilds each term on the
 path to the focus through `one_tp`.  `selectenv` searches the module
 with a PARTIAL INT step that never matches, under an environment that
 counts the depth, so it builds a `choice_tu`, a `let_tu` and a `one_tu`
-at each node it enters.  `build` applies nothing: it calls each of the
-29 functions that make a strategy from strategies once, on fixed small
-strategies, so it counts construction alone, the reading of each new
-node included.  Work done in C (set and dict operations, builtins) is
+at each node it enters.  `crush_list` sums a 300-element list of INTs
+with `crush` over INT_SUM, and `select_list` searches it with a PARTIAL
+step that matches only its last element, so they count the one-frame
+walk of a list's elements under `all_tu` and under `one`.  `build`
+applies nothing: it calls each of the 29 functions that make a strategy
+from strategies once, on fixed small strategies, so it counts
+construction alone, the reading of each new node included.  Work done in C (set and dict operations, builtins) is
 not counted.  Compare two trees by pointing PYTHONPATH at each `src/`:
 
     PYTHONPATH=src python3 scripts/opcount.py
@@ -211,6 +214,9 @@ def main() -> None:
     count_ints = local_state(0, topdown(adhoc_tp(identity_tp(PARTIAL_STATE), INT, tick)))
     no_int = adhoc_tu(fail_tu(PARTIAL), INT, lambda _n: PARTIAL.zero())
     find_env = selectenv(0, lambda env, _t: env + 1, lambda _env: no_int)
+    ints = term(list(range(300)), list_of(INT))
+    total = crush(adhoc_tu(build_tu(IDENTITY, 0), INT, IDENTITY.pure), INT_SUM)
+    last = select(adhoc_tu(fail_tu(PARTIAL), INT, lambda n: PARTIAL.pure(n) if n == 299 else PARTIAL.zero()))
     decls = [to_term(d) for d in module.decls] * 2
     one_pair = term([(True, 1)], list_of(pair_of(BOOL, INT)))
     focused = parse(text + "data Focus = MkFocus << Int -> D0 >>\n")  # the focus is S1's right-hand side
@@ -233,6 +239,8 @@ def main() -> None:
         ("pretty", pretty, module),
         ("to_alias", lambda m: to_alias("S1", m), focused),
         ("selectenv", lambda t: apply(find_env, t), mterm),
+        ("crush_list", lambda t: apply(total, t), ints),
+        ("select_list", lambda t: apply(last, t), ints),
         ("build", build, (identity_tp(PARTIAL), build_tu(PARTIAL, 0), identity_tp(PARTIAL_STATE))),
     ]
     print(f"python {sys.version.split()[0]}")

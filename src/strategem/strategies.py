@@ -81,6 +81,24 @@ own term, or that a nested scheme holds; any of them where the strategy
 would run on the kid switches pruning off for that layer.  A datatype
 declared but not yet defined may reach anything, so it is always
 entered.
+
+Which branch of a type-case runs is fixed by the term's datatype, so each
+node is also planned per datatype, on demand and once: its plan at a tag
+is the node that remains once the term's datatype is known.  A type-case
+without a step for the tag is its default; a seq drops a part that is the
+identity, is the failure of a first part that fails, and drops the
+neutral element next to a layer of its own append (the monoid's unit
+law); a choice drops a part that fails and commits to a first part that
+gives a constant; a layer at a datatype without fields is its empty
+result; a ref is its body's plan.  A let, an unlift and a function
+default are their own plans, and a strategy deeper than `_PLAN_DEPTH`
+runs unplanned below that depth.  The loop plans where the term changes:
+at `apply`, and at each kid, whose plan the layer's table gives beside
+the skip, as None.  Where that table plans the layer itself at its own
+list term, the kid of the tail would run the layer again, so the layer
+walks the list's elements in one frame instead of one frame per cons
+cell: `all_tp` gives one new list, `all_tu` folds the elements left to
+right, and `one` commits at the first element that works.
 """
 
 from __future__ import annotations
@@ -99,7 +117,7 @@ from .effects import (
     supports_failure,
 )
 from .effects import _FAIL, _recover, _unchanged, _unlift
-from .terms import Term, TypeTag, _reach, term
+from .terms import Term, TypeTag, _ListTag, _reach, term
 
 __all__ = [
     "TP",
@@ -172,9 +190,14 @@ class _Node:
     defined, for whatever that ref gives there.  `conds` are the (ref,
     empty) pairs the reading assumes: that the ref gives the empty result
     of a layer over it at each kid, a smaller term than the layer's.
+
+    `plans` maps a datatype to the node's plan there, the node that remains
+    once the term's datatype is known, filled by `plan`; a node that is
+    its own plan everywhere (a let, an unlift, a function default) has none.
     """
 
     __slots__ = ("ctx", "tp", "out", "tags", "conds")  # tp: True for a TP, False for a TU
+    plans = None
 
     def __init__(self, ctx, tp, out=_UNKNOWN, tags=frozenset(), conds=()):
         self.ctx, self.tp, self.out, self.tags, self.conds = ctx, tp, out, tags, conds
@@ -182,13 +205,39 @@ class _Node:
     def __call__(self, t):
         return _run(self.ctx, self, t)
 
+    def plan(self, tag, depth=0):
+        """The node to run in place of this one on a term of datatype `tag`.
+
+        Below a depth of _PLAN_DEPTH nodes stay themselves, so planning a
+        deep strategy does not recurse on the Python stack without bound.
+        """
+        plans = self.plans
+        if plans is None:
+            return self
+        node = plans.get(tag)
+        if node is None:
+            if depth == _PLAN_DEPTH:
+                return self
+            plans[tag] = self  # met again while it is planned: itself
+            plans[tag] = node = self._planned(tag, depth + 1)
+        return node
+
+
+# How many nodes deep `plan` looks below the node it is asked for.
+_PLAN_DEPTH = 100
+
+
+def _constant(node):
+    # What a type-case with no cases gives (_TERM, _FAIL or a value), or _UNKNOWN.
+    return node.out if type(node) is _Adhoc and not node.steps else _UNKNOWN
+
 
 class _Adhoc(_Node):
     # The type-case: `steps` maps each tag of a chain of adhoc layers to its
     # step, whose value a TP wraps as a term.  Any other tag gets the generic
     # default: `fn`, a function of the term, whose value a TP checks; else the
     # node `default`; else the constant `out`.  `read`: the context's `_read`.
-    __slots__ = ("steps", "default", "fn", "read")
+    __slots__ = ("steps", "default", "fn", "read", "plans")
 
     def __init__(self, ctx, tp, out, default=None, fn=None, steps={}):
         if default is None:
@@ -196,16 +245,25 @@ class _Adhoc(_Node):
         else:
             super().__init__(ctx, tp, default.out, default.tags.union(steps), default.conds)
         self.steps, self.default, self.fn, self.read = steps, default, fn, ctx._read
+        self.plans = None if fn is not None else {}
+
+    def _planned(self, tag, depth):
+        # Without a step for `tag`, the default; a constant is a type-case with no cases.
+        if tag in self.steps or not self.steps:
+            return self
+        if self.default is not None:
+            return self.default.plan(tag, depth)
+        return _Adhoc(self.ctx, self.tp, self.out)
 
 
 class _Seq(_Node):
     # `append` is None when `second` runs on the output of `first`, and
     # otherwise a monoid's append of two analyses of the same term.
-    __slots__ = ("first", "second", "append")
+    __slots__ = ("first", "second", "append", "plans")
 
     def __init__(self, first, second, append):
         ctx, v = _same_context(first.ctx, second.ctx), first.out
-        self.first, self.second, self.append = first, second, append
+        self.first, self.second, self.append, self.plans = first, second, append, {}
         if v is _FAIL or not _known(v):  # `second` does not run, or may
             super().__init__(ctx, second.tp, v if v is _FAIL else _UNKNOWN, first.tags, first.conds)
             return
@@ -217,6 +275,29 @@ class _Seq(_Node):
                 w = _UNKNOWN
         super().__init__(ctx, second.tp, w, first.tags | second.tags, first.conds + second.conds)
 
+    def _planned(self, tag, depth):
+        # A failing first part fails the seq, and an identity part drops out.
+        # Next to a layer of the seq's own append, as in `crush`, so does the
+        # layer's empty result, the monoid's neutral element.
+        first = self.first.plan(tag, depth)
+        v = _constant(first)
+        if v is _FAIL:
+            return first
+        if v is _TERM:
+            return self.second.plan(tag, depth)
+        second, layer = self.second.plan(tag, depth), self.second
+        if self.append is None:
+            if _constant(second) is _TERM:
+                return first
+        elif type(layer) is _Layer and layer.append is self.append:
+            if _same(v, layer.empty):
+                return second
+            if _constant(second) is layer.empty:
+                return first
+        if first is self.first and second is self.second:
+            return self
+        return _Seq(first, second, self.append)
+
 
 class _Let(_Node):
     __slots__ = ("analysis", "body")
@@ -227,21 +308,37 @@ class _Let(_Node):
 
 
 class _Choice(_Node):
-    __slots__ = ("first", "second")
+    __slots__ = ("first", "second", "plans")
 
     def __init__(self, ctx, first, second):
-        self.first, self.second, v = first, second, first.out
+        self.first, self.second, self.plans, v = first, second, {}, first.out
         if v is _FAIL:
             super().__init__(ctx, first.tp, second.out, first.tags | second.tags, first.conds + second.conds)
         else:
             super().__init__(ctx, first.tp, v if _known(v) else _UNKNOWN, first.tags, first.conds)
+
+    def _planned(self, tag, depth):
+        # A failing part drops out, and a first part that gives a constant
+        # commits, remade in the choice's context where an msubst moved it.
+        first = self.first.plan(tag, depth)
+        v = _constant(first)
+        if v is _FAIL:
+            return self.second.plan(tag, depth)
+        if v is not _UNKNOWN:
+            return first if first.ctx is self.ctx else _Adhoc(self.ctx, self.tp, v)
+        second = self.second.plan(tag, depth)
+        if _constant(second) is _FAIL:
+            return first
+        if first is self.first and second is self.second:
+            return self
+        return _Choice(self.ctx, first, second)
 
 
 class _Layer(_Node):
     # One-layer traversal, of the kind of `s`.  `empty` is what it gives on a
     # term without kids: _TERM for all_tp, the monoid's neutral for all_tu,
     # _FAIL for one; `append`: the monoid's, for all_tu.
-    __slots__ = ("s", "empty", "append", "skips")
+    __slots__ = ("s", "empty", "append", "table", "plans")
 
     def __init__(self, s, empty, append):
         v, conds = s.out, s.conds
@@ -249,8 +346,14 @@ class _Layer(_Node):
             v, conds = empty, conds + ((v, empty),)
         ctx = _partial_context(s.ctx) if empty is _FAIL else s.ctx
         super().__init__(ctx, s.tp, empty if _same(v, empty) else _UNKNOWN, s.tags, conds)
-        self.s, self.empty, self.append = s, empty, append
-        self.skips = _Skips(self)
+        self.s, self.empty, self.append, self.plans = s, empty, append, {}
+        self.table = _Table(self)
+
+    def _planned(self, tag, depth):
+        # At a datatype with no fields, the layer's empty result.
+        if _reach(tag) is not None and not tag.field_types:
+            return _Adhoc(self.ctx, self.tp, self.empty)
+        return self
 
 
 class _Unlift(_Node):
@@ -267,9 +370,14 @@ class _Ref(_Node):
     def __init__(self, ctx, tp):
         super().__init__(ctx, tp, self)  # read as itself until its body is read
 
+    def plan(self, tag, depth=0):
+        return self.body.plan(tag, depth)
+
 
 # The frame kind of a result waiting for the next one to append to it.
 _APPEND = object()
+# The frame kind of a layer walking the elements of a list.
+_SPINE = object()
 
 
 def _loop(node, t, regs):
@@ -278,13 +386,19 @@ def _loop(node, t, regs):
     Returns the value, or _FAIL, and the register after it.  Frames
     pending a value: (_Seq, node, t) and (_APPEND, append, first result);
     (_Let, node, t); (_Unlift,), which drops the first state; (_Choice,
-    second, t, regs), which takes over on failure; and [_Layer, node, t,
-    kids, i, acc] for kid `i`, which moves on to the next kid `skips` does
-    not pass over when kid `i` fails under `one` and when it succeeds under
-    `all`.  `acc` is what the layer carries from kid to kid: the register
-    to restore (`one`), the new kids (`all_tp`) or the running fold
-    (`all_tu`).  Each value is checked where it enters, so a TP layer's
-    new kids fit its term, which it rebuilds through its datatype's view.
+    second, t, regs), which takes over on failure; [_Layer, node, t, kids,
+    i, acc] for kid `i`, which moves on to the next kid the layer's table
+    does not skip when kid `i` fails under `one` and when it succeeds under
+    `all`, running the table's plan there; and [_SPINE, node, t, kids,
+    heads, acc, s] for the head of the cons cell with `kids`, where the
+    table plans the layer itself at its list term `t`: it runs the plan `s`
+    of the element datatype at each element in turn, `heads` being the
+    elements before this one.  `acc` is what the layer carries from kid to
+    kid: the register to restore (`one`), the new kids or elements
+    (`all_tp`) or the running fold (`all_tu`).  Each value is checked where
+    it enters, so a TP layer's new kids fit its term, which it rebuilds
+    through its datatype's view; a spine gives one new list under `all_tp`,
+    and the cells it walked around the new element under `one_tp`.
     """
     stack = []
     push, pop = stack.append, stack.pop
@@ -314,9 +428,21 @@ def _loop(node, t, regs):
                     break
                 node = node.default
             elif kind is _Layer:
-                kids, i, skips = t.tag.children(t), 0, node.skips
-                while i < len(kids) and skips[kids[i].tag]:
-                    i += 1
+                tag, table, i = t.tag, node.table, 0
+                if type(tag) is _ListTag and table[tag] is node:
+                    # The tail would run this layer again, so one frame walks
+                    # the elements instead, from one cons cell to the next.
+                    s = table[tag.elem]
+                    kids = () if s is None else tag.children(t)
+                    if kids:
+                        acc = regs if node.empty is _FAIL else [] if node.tp else node.empty
+                        push([_SPINE, node, t, kids, [], acc, s])
+                        node, t = s, kids[0]
+                        continue
+                else:
+                    kids = tag.children(t)
+                    while i < len(kids) and (s := table[kids[i].tag]) is None:
+                        i += 1
                 if i == len(kids):
                     v = t if node.empty is _TERM else node.empty
                     break
@@ -325,7 +451,7 @@ def _loop(node, t, regs):
                 else:
                     acc = list(kids) if node.tp else node.empty
                 push([_Layer, node, t, kids, i, acc])
-                node, t = node.s, kids[i]
+                node, t = s, kids[i]
             elif kind is _Choice:
                 push((_Choice, node.second, t, regs))
                 node = node.first
@@ -353,18 +479,45 @@ def _loop(node, t, regs):
                     acc[i] = v
                 else:
                     acc = frame[5] = node.append(acc, v)
-                i, skips = i + 1, node.skips
-                while i < len(kids) and skips[kids[i].tag]:
+                i, table = i + 1, node.table
+                while i < len(kids) and (s := table[kids[i].tag]) is None:
                     i += 1
                 if i < len(kids):
                     frame[4] = i
                     push(frame)
-                    node, t = node.s, kids[i]
+                    node, t = s, kids[i]
                     break
                 if not one:
                     v = acc
                     if node.tp:
                         v = t.tag.rebuild(t, v) if any(map(is_not, v, kids)) else t
+            elif kind is _SPINE:
+                _, node, t, kids, heads, acc, s = frame
+                one = node.empty is _FAIL
+                if (v is _FAIL) is not one:
+                    if v is not _FAIL and node.tp:
+                        # The cells walked so far, around the new element.
+                        v = t.tag.rebuild(t, (v, kids[1]))
+                        for head in reversed(heads):
+                            v = t.tag.rebuild(t, (head, v))
+                    continue
+                if one:
+                    regs = acc
+                elif node.tp:
+                    acc.append(v)
+                else:
+                    acc = frame[5] = node.append(acc, v)
+                heads.append(kids[0])
+                kids = t.tag.children(kids[1])
+                if kids:
+                    frame[3] = kids
+                    push(frame)
+                    node, t = s, kids[0]
+                    break
+                if not one:
+                    v = acc
+                    if node.tp:
+                        v = t.tag.relist(t, v) if any(map(is_not, v, heads)) else t
             elif v is _FAIL:
                 if kind is _Choice:
                     _, node, t, regs = frame
@@ -401,7 +554,7 @@ def _run(ctx, node, t, regs=()):
         raise TypeError(f"strategies run in Identity, Partial or StateOver over those, not {base!r}")
     if type(ctx) is StateOver:
         return lambda s: _run(ctx.inner, node, t, regs + (s,))
-    v, regs = _loop(node, t, regs)
+    v, regs = _loop(node.plan(t.tag), t, regs)
     if v is _FAIL:
         return ctx.zero()
     for s in regs:
@@ -432,8 +585,9 @@ def _settle(node):
     return (_UNKNOWN if type(node.out) is _Ref else node.out), tags
 
 
-class _Skips(dict):
-    """Whether a layer skips a kid, by the kid's datatype.
+class _Table(dict):
+    """What a layer runs at a kid, by the kid's datatype: the plan of its
+    strategy there, or None where it skips the kid.
 
     A kid is skipped when its datatype reaches none of `tags`.  Filled on
     demand; a datatype whose reach is not known yet, as one declared but
@@ -444,7 +598,7 @@ class _Skips(dict):
     result or cannot be told.
     """
 
-    __slots__ = ("layer", "tags")
+    __slots__ = ("layer", "tags", "s")
 
     def __init__(self, layer):
         super().__init__()
@@ -452,15 +606,15 @@ class _Skips(dict):
 
     def __missing__(self, tag):
         if self.layer is not None:
-            layer, self.layer = self.layer, None
+            layer, self.layer, self.s = self.layer, None, self.layer.s
             out, tags = _settle(layer)
             if out is layer.empty:
                 self.tags = tags
         reach = _reach(tag) if self.tags is not None else ()
-        if reach is None:
-            return False  # not known yet: enter, and keep no answer
-        self[tag] = skip = self.tags is not None and reach.isdisjoint(self.tags)
-        return skip
+        node = None if reach and reach.isdisjoint(self.tags) else self.s.plan(tag)
+        if reach is not None:  # else not known yet: enter, and keep no answer
+            self[tag] = node
+        return node
 
 
 def _node(s: Strategy, kind=Strategy) -> _Node:

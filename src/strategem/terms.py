@@ -251,9 +251,7 @@ class _NodeTag(TypeTag):
     def children(self, t):
         value = t.value
         con, names = self.by_class[type(value)]
-        return tuple(
-            Term(getattr(value, name), ftag) for name, ftag in zip(names, con.field_tags)
-        )
+        return tuple(map(Term, map(value.__getattribute__, names), con.field_tags))
 
     def rebuild(self, t, kids):
         # The class of the value is the constructor being kept.
@@ -335,6 +333,15 @@ class _ListTag(TypeTag):
 
     def rebuild(self, t, kids):
         return _Cons(kids[0], kids[1], self)
+
+    def relist(self, t, kids):
+        # A list of the values of the element terms `kids`, with the sequence
+        # type of `t`'s.
+        while type(t) is _Cons:
+            t = t.tail
+        seq = t.seq if type(t) is _Tail else t.value
+        items = [kid.value for kid in kids]
+        return Term(tuple(items) if isinstance(seq, tuple) else items, self)
 
 
 class _PairTag(TypeTag):

@@ -180,6 +180,42 @@ def test_an_adhoc_chain_over_a_generic_default_is_one_node(default):
     assert (apply(s, term(4)), apply(s, term("a"))) == (Just(i), Just(a))
 
 
+def _int_step(kind, default):
+    adhoc = adhoc_tp if kind is TP else adhoc_tu
+    return adhoc(default, INT, PARTIAL.pure)
+
+
+@pytest.mark.parametrize(
+    "scheme, layer_of",
+    [
+        (lambda: topdown(_int_step(TP, identity_tp(PARTIAL))), lambda body: body.second),
+        (lambda: bottomup(_int_step(TP, identity_tp(PARTIAL))), lambda body: body.first),
+        (lambda: crush(_int_step(TU, build_tu(PARTIAL, 0)), INT_SUM), lambda body: body.second),
+        (lambda: once_td(_int_step(TP, fail_tp(PARTIAL))), lambda body: body.second),
+        (lambda: innermost(_int_step(TP, fail_tp(PARTIAL))), lambda body: body.first),
+    ],
+    ids=["topdown", "bottomup", "crush", "once_td", "innermost"],
+)
+def test_a_scheme_plans_its_own_layer_at_a_list_of_its_targets(scheme, layer_of):
+    # Its layer's table runs the layer itself at a kid of the list's own
+    # datatype, so the layer walks the list's elements in one frame.
+    s = scheme()
+    layer = layer_of(s.run.body)
+    assert type(layer) is strategies._Layer
+    assert layer.table[list_of(INT)] is layer
+    assert s.run.plan(list_of(INT)) is layer
+
+
+def test_a_function_default_plans_to_itself_at_every_tag():
+    tags = (INT, STR, list_of(INT), pair_of(INT, STR), list_of(list_of(INT)))
+    for s in (TP(PARTIAL, PARTIAL.pure), TU(PARTIAL, lambda t: PARTIAL.pure(0))):
+        node = strategies._node(s)
+        chain = _int_step(TP if isinstance(s, TP) else TU, s).run
+        for tag in tags:
+            assert node.plan(tag) is node
+            assert chain.plan(tag) is chain
+
+
 def test_adhoc_on_node_datatype_sees_bare_value():
     seen = []
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,6 +85,7 @@ from strategem.terms import (
     list_of,
     optional_of,
     pair_of,
+    rebuild,
     register_descriptors,
     term,
     validate_term,
@@ -834,12 +836,18 @@ _SCHEMES = {
     "all-all-self": (False, _identity, _bump, _meta(seq_tp, lambda r: all_tp(all_tp(r)))),
 }
 
-_CASES = [
-    (name, ctx)
-    for name, (needs_failure, *_) in _SCHEMES.items()
-    for ctx in (IDENTITY, PARTIAL, STATE, PARTIAL_STATE)
-    if supports_failure(ctx) or not needs_failure
-]
+
+
+def _cases(schemes):
+    return [
+        (name, ctx)
+        for name, (needs_failure, *_) in schemes.items()
+        for ctx in (IDENTITY, PARTIAL, STATE, PARTIAL_STATE)
+        if supports_failure(ctx) or not needs_failure
+    ]
+
+
+_CASES = _cases(_SCHEMES)
 
 
 def _outcome(s, t):
@@ -857,6 +865,74 @@ def test_pruned_and_unpruned_runs_agree(t, tags):
             for opaque in (False, True)
         )
         assert pruned == unpruned, (name, ctx)
+
+
+# Planned runs agree with cell-by-cell runs on long lists.  A transparent
+# default is planned per datatype, and a layer that plans itself at a
+# list's own datatype walks the list's elements in one frame; an opaque
+# default plans nothing, so its layers walk a list one cons cell at a time.
+# The `*-self` shapes are left out, since their work is exponential in
+# depth.  "crush-order" folds with a monoid that does not commute: the
+# hash of the sequence of its words, each a (number, 1) pair, so the order
+# of its appends shows.  In "once_td-seq" an element's strategy can count
+# a call and then fail, and whether a step fails depends on the count, so
+# the search must restore the state it started the element from.
+
+_P = 2**61 - 1
+_WORDS = Monoid((0, 0), lambda a, b: ((a[0] * pow(31, b[1], _P) + b[0]) % _P, a[1] + b[1]))
+
+_LONG_SCHEMES = {
+    **{name: scheme for name, scheme in _SCHEMES.items() if not name.endswith("-self")},
+    "crush-order": (False, _build((0, 0)), lambda v, n: (_count(v, n), 1), lambda s: crush(s, _WORDS)),
+    "once_td-seq": (
+        True,
+        _fail(TP),
+        lambda v, n: _bump(v, n) if (_size(v) + n) % 3 else None,
+        lambda s: once_td(seq_tp(s, s)),
+    ),
+}
+_LONG_CASES = _cases(_LONG_SCHEMES)
+
+_ITEMS = {
+    list_of(INT): lambda rng: rng.randint(-3, 40),
+    list_of(pair_of(BOOL, INT)): lambda rng: (rng.random() < 0.5, rng.randint(-3, 40)),
+    list_of(optional_of(INT)): lambda rng: None if rng.random() < 0.3 else rng.randint(-3, 40),
+    list_of(list_of(INT)): lambda rng: [rng.randint(-3, 40) for _ in range(rng.randint(0, 3))],
+}
+
+
+def _rebuilt(t, cells):
+    # `t` rebuilt around its first `cells` cons cells, as a traversal leaves it.
+    kids = children(t)
+    if not cells or not kids:
+        return t
+    return rebuild(t, (kids[0], _rebuilt(kids[1], cells - 1)))
+
+
+@st.composite
+def _long_lists(draw):
+    # A list of 10^3 to 2*10^4 items held in a list or a tuple, as it is,
+    # as the tail view below its first cell, or rebuilt around its first cells.
+    tag = draw(st.sampled_from(list(_ITEMS)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    items = [_ITEMS[tag](rng) for _ in range(draw(st.integers(1_000, 20_000)))]
+    t = term(tuple(items) if draw(st.booleans()) else items, tag)
+    form = draw(st.sampled_from(("value", "tail", "cons")))
+    if form == "tail":
+        return children(t)[1]
+    return _rebuilt(t, draw(st.integers(1, 50))) if form == "cons" else t
+
+
+# Five examples, and twenty under the ci profile's 500.
+@settings(deadline=None, max_examples=max(5, settings.default.max_examples // 25))
+@given(t=_long_lists(), tags=st.lists(st.sampled_from((INT, BOOL, STR)), min_size=1, max_size=2, unique=True))
+def test_planned_runs_agree_with_cell_by_cell_runs_on_long_lists(t, tags):
+    for name, ctx in _LONG_CASES:
+        _, default, step, scheme = _LONG_SCHEMES[name]
+        planned, cells = (
+            _outcome(scheme(_layers(default(ctx, opaque), tags, step)), t) for opaque in (False, True)
+        )
+        assert planned == cells, (name, ctx)
 
 
 # A strategy moved along a library morphism runs in the loop around it, and
